@@ -13,7 +13,7 @@ from .quantizer import (Codebook, QuantizationOutcome, error_ccdf, error_upper_b
                         expected_error, expected_neg_log2_error, expected_optimal_error,
                         generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
                         quantize, sample_error, sample_errors_brute, sample_quantized_pair)
-from .simulate import (SimConfig, TrialRecord, collect_zf_statistics,
+from .simulate import (SimConfig, collect_zf_statistics,
                        miso_feedback_throughput, mu_throughput, random_bf_throughput,
                        rate_gap, tdma_throughput)
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -23,9 +24,6 @@ from .precoder import RZF, ZF
 
 CSV_COLUMNS = ["experiment", "curve", "M", "K", "policy", "precoder", "B_bits",
                "snr_db", "throughput_bps_hz", "std_err", "trials", "seed", "resamples"]
-
-FIGURE_IDS = ("miso4x1", "fixed5x5", "scaled5x5", "scaled6x6", "mux4x4",
-              "reg5x5", "compare44", "compare44b", "compare88")
 
 _PATH_ALIASES = {
     "brute": sim.BRUTE_FORCE, "brute_force": sim.BRUTE_FORCE,
@@ -69,7 +67,9 @@ def parse_snr_grid(text: str) -> tuple:
         raise ConfigError(f"snr must contain numbers, got {text!r}") from None
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"snr needs step > 0 and hi >= lo, got {text!r}")
-    return tuple(np.arange(lo, hi + step / 2.0, step))
+    # lo + i*step rounded, so 0:0.1:1 gives 0.3 rather than 0.30000000000000004
+    n = len(np.arange(lo, hi + step / 2.0, step))
+    return tuple(round(lo + i * step, 12) for i in range(n))
 
 
 def parse_bit_range(value) -> list[int]:
@@ -92,15 +92,19 @@ def parse_bit_range(value) -> list[int]:
         raise ConfigError(f"B must be an integer or lo..hi range, got {text!r}") from None
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Build a spec from JSON text; unknown keys are rejected by name."""
+def _load_config(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    return build_spec(raw, {})
+    return raw
+
+
+def parse_config(text: str) -> ExperimentSpec:
+    """Build a spec from JSON text; unknown keys are rejected by name."""
+    return build_spec(_load_config(text), {})
 
 
 def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
@@ -143,14 +147,6 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         parse_snr_grid(spec.snr)
 
 
-def _resolved_path(spec: ExperimentSpec, default: str) -> str:
-    return _PATH_ALIASES[spec.path] if spec.path else default
-
-
-def _grid(spec: ExperimentSpec, default: str) -> tuple:
-    return parse_snr_grid(spec.snr if spec.snr else default)
-
-
 def _analytic_curve(label: str, grid: tuple, M: int, values, seed: int,
                     b_bits: float = math.nan) -> ThroughputCurve:
     n = len(grid)
@@ -160,146 +156,97 @@ def _analytic_curve(label: str, grid: tuple, M: int, values, seed: int,
         policy="analytic", precoder="BF", seed=seed, b_bits=np.full(n, b_bits))
 
 
-def _mu_cfg(spec: ExperimentSpec, M: int, grid: tuple, policy: ScalingPolicy | None,
-            precoder: str, csit: str, default_path: str) -> sim.SimConfig:
-    return sim.SimConfig(M=M, K=M, snr_grid_db=grid, policy=policy, precoder=precoder,
-                         csit=csit, path=_resolved_path(spec, default_path),
-                         trials=spec.trials, seed=spec.seed)
+# engine -> (fbmimo.simulate function name, default quantization path).  The
+# function is looked up on the module at call time, so a wrapper installed
+# there after import (perfbench/tracer.py does this) is the one that runs.
+_ENGINES = {
+    "mu": ("mu_throughput", sim.FAST_DECOMPOSITION),
+    "miso": ("miso_feedback_throughput", sim.BRUTE_FORCE),
+    "tdma": ("tdma_throughput", sim.FAST_DECOMPOSITION),
+    "random_bf": ("random_bf_throughput", sim.FAST_DECOMPOSITION),
+}
 
 
-def _preset_miso4x1(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M, B = 4, 3
-    grid = _grid(spec, "0:5:30")
-    refs = [bd.miso_reference(10.0 ** (s / 10.0), M, B) for s in grid]
-    curves = [
+@dataclass(frozen=True)
+class _Curve:
+    """One simulated curve; no policy means perfect CSIT, no label the
+    engine's default label."""
+
+    engine: str
+    label: str | None = None
+    policy: ScalingPolicy | None = None
+    precoder: str = ZF
+
+
+def _run_curve(spec: ExperimentSpec, curve: _Curve, M: int, grid: tuple,
+               K: int | None = None) -> ThroughputCurve:
+    name, default_path = _ENGINES[curve.engine]
+    if K is None:
+        K = 1 if curve.engine == "miso" else M
+    cfg = sim.SimConfig(M=M, K=K, snr_grid_db=grid, policy=curve.policy, precoder=curve.precoder,
+                        csit="perfect" if curve.policy is None else "quantized",
+                        path=_PATH_ALIASES[spec.path] if spec.path else default_path,
+                        trials=spec.trials, seed=spec.seed)
+    engine = getattr(sim, name)
+    return engine(cfg, label=curve.label) if curve.label else engine(cfg)
+
+
+_MISO_BITS = 3
+
+
+def _miso_references(spec: ExperimentSpec, M: int, grid: tuple) -> list[ThroughputCurve]:
+    refs = [bd.miso_reference(10.0 ** (s / 10.0), M, _MISO_BITS) for s in grid]
+    return [
         _analytic_curve("miso_csit_reference", grid, M, [r.c_csit for r in refs], spec.seed),
         _analytic_curve("miso_nocsit_reference", grid, M, [r.c_nocsit for r in refs], spec.seed),
         _analytic_curve("miso_fb_approx_reference", grid, M,
-                        [r.r_fb_approx for r in refs], spec.seed, b_bits=float(B)),
+                        [r.r_fb_approx for r in refs], spec.seed, b_bits=float(_MISO_BITS)),
     ]
-    cfg = sim.SimConfig(M=M, K=1, snr_grid_db=grid, policy=ScalingPolicy.fixed(B),
-                        csit="quantized", path=_resolved_path(spec, sim.BRUTE_FORCE),
-                        trials=spec.trials, seed=spec.seed)
-    curves.append(sim.miso_feedback_throughput(cfg))
-    return curves
 
 
-def _preset_fixed5x5(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 5
-    grid = _grid(spec, "0:5:50")
-    curves = [sim.mu_throughput(
-        _mu_cfg(spec, M, grid, None, ZF, "perfect", sim.FAST_DECOMPOSITION), label="zf_perfect")]
-    for B in (10, 15, 20):
-        cfg = _mu_cfg(spec, M, grid, ScalingPolicy.fixed(B), ZF, "quantized", sim.FAST_DECOMPOSITION)
-        curves.append(sim.mu_throughput(cfg, label=f"zf_quantized_B{B}"))
-    return curves
-
-
-def _preset_scaled5x5(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 5
-    grid = _grid(spec, "0:5:25")
-    perfect = sim.mu_throughput(
-        _mu_cfg(spec, M, grid, None, ZF, "perfect", sim.FAST_DECOMPOSITION), label="zf_perfect")
-    quant = sim.mu_throughput(
-        _mu_cfg(spec, M, grid, ScalingPolicy.approx_3db(2.0), ZF, "quantized",
-                sim.FAST_DECOMPOSITION), label="zf_quantized_scaled")
+def _offset_reference(spec: ExperimentSpec, M: int, grid: tuple) -> list[ThroughputCurve]:
+    """Perfect-CSIT ZF simulated on the grid shifted by the ZF/DPC power
+    offset and reported on the unshifted grid."""
     offset = bd.zf_dpc_power_offset_db(M)
-    shifted_grid = tuple(s + offset for s in grid)
-    shifted = sim.mu_throughput(
-        _mu_cfg(spec, M, shifted_grid, None, ZF, "perfect", sim.FAST_DECOMPOSITION))
-    reference = replace(shifted, label="sum_capacity_offset_reference",
-                        snr_db=np.array(grid), policy=f"zf_perfect shifted {offset:.2f} dB")
-    return [perfect, quant, reference]
+    shifted = _run_curve(spec, _Curve("mu"), M, tuple(s + offset for s in grid))
+    return [replace(shifted, label="sum_capacity_offset_reference", snr_db=np.array(grid),
+                    policy=f"zf_perfect shifted {offset:.2f} dB")]
 
 
-def _preset_scaled6x6(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 6
-    grid = _grid(spec, "0:5:30")
-    curves = [sim.mu_throughput(
-        _mu_cfg(spec, M, grid, None, ZF, "perfect", sim.FAST_DECOMPOSITION), label="zf_perfect")]
-    for b_gap in (2.0, 4.0):
-        cfg = _mu_cfg(spec, M, grid, ScalingPolicy.approx_3db(b_gap), ZF, "quantized",
-                      sim.FAST_DECOMPOSITION)
-        curves.append(sim.mu_throughput(cfg, label=f"zf_quantized_b{b_gap:g}"))
-    return curves
+_ZF_PERFECT = _Curve("mu", "zf_perfect")
+_SCALED = ScalingPolicy.approx_3db(2.0)
+_BASELINES = (_Curve("tdma"), _Curve("random_bf"))
 
-
-def _preset_mux4x4(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 4
-    grid = _grid(spec, "0:5:40")
-    curves = [sim.mu_throughput(
-        _mu_cfg(spec, M, grid, None, ZF, "perfect", sim.FAST_DECOMPOSITION), label="zf_perfect")]
-    for frac in (0.5, 1.3):
-        alpha = frac * (M - 1)
-        cfg = _mu_cfg(spec, M, grid, ScalingPolicy.alpha_scaled(alpha), ZF, "quantized",
-                      sim.FAST_DECOMPOSITION)
-        curves.append(sim.mu_throughput(cfg, label=f"zf_quantized_alpha{alpha:g}"))
-    return curves
-
-
-def _preset_reg5x5(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 5
-    grid = _grid(spec, "0:5:30")
-    policy = ScalingPolicy.approx_3db(2.0)
-    return [
-        sim.mu_throughput(_mu_cfg(spec, M, grid, None, ZF, "perfect",
-                                  sim.FAST_DECOMPOSITION), label="zf_perfect"),
-        sim.mu_throughput(_mu_cfg(spec, M, grid, None, RZF, "perfect",
-                                  sim.FAST_DECOMPOSITION), label="rzf_perfect"),
-        sim.mu_throughput(_mu_cfg(spec, M, grid, policy, ZF, "quantized",
-                                  sim.FAST_DECOMPOSITION), label="zf_quantized_scaled"),
-        sim.mu_throughput(_mu_cfg(spec, M, grid, policy, RZF, "quantized",
-                                  sim.FAST_DECOMPOSITION), label="rzf_quantized_scaled"),
-    ]
-
-
-def _baselines(spec: ExperimentSpec, M: int, grid: tuple) -> list[ThroughputCurve]:
-    base = sim.SimConfig(M=M, K=M, snr_grid_db=grid, csit="perfect",
-                         trials=spec.trials, seed=spec.seed)
-    return [sim.tdma_throughput(base), sim.random_bf_throughput(base)]
-
-
-def _preset_compare44(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 4
-    grid = _grid(spec, "0:5:20")
-    cfg = _mu_cfg(spec, M, grid, ScalingPolicy.approx_3db(2.0), RZF, "quantized",
-                  sim.FAST_DECOMPOSITION)
-    return [sim.mu_throughput(cfg, label="rzf_quantized_scaled")] + _baselines(spec, M, grid)
-
-
-def _preset_compare44b(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 4
-    grid = _grid(spec, "0:5:20")
-    curves = []
-    for B in (5, 10, 15, 20):
-        cfg = _mu_cfg(spec, M, grid, ScalingPolicy.fixed(B), RZF, "quantized",
-                      sim.FAST_DECOMPOSITION)
-        curves.append(sim.mu_throughput(cfg, label=f"rzf_quantized_B{B}"))
-    return curves + _baselines(spec, M, grid)
-
-
-def _preset_compare88(spec: ExperimentSpec) -> list[ThroughputCurve]:
-    M = 8
-    grid = _grid(spec, "0:5:20")
-    scaled = _mu_cfg(spec, M, grid, ScalingPolicy.approx_3db(2.0), RZF, "quantized",
-                     sim.FAST_DECOMPOSITION)
-    fixed = _mu_cfg(spec, M, grid, ScalingPolicy.fixed(20), RZF, "quantized",
-                    sim.FAST_DECOMPOSITION)
-    return [sim.mu_throughput(scaled, label="rzf_quantized_scaled"),
-            sim.mu_throughput(fixed, label="rzf_quantized_B20")] + _baselines(spec, M, grid)
-
-
+# figure id -> (M, default SNR grid, entries in CSV order).  An entry is a
+# _Curve or a function (spec, M, grid) returning analytic or derived curves.
 _PRESETS = {
-    "miso4x1": _preset_miso4x1,
-    "fixed5x5": _preset_fixed5x5,
-    "scaled5x5": _preset_scaled5x5,
-    "scaled6x6": _preset_scaled6x6,
-    "mux4x4": _preset_mux4x4,
-    "reg5x5": _preset_reg5x5,
-    "compare44": _preset_compare44,
-    "compare44b": _preset_compare44b,
-    "compare88": _preset_compare88,
+    "miso4x1": (4, "0:5:30", (_miso_references,
+                              _Curve("miso", policy=ScalingPolicy.fixed(_MISO_BITS)))),
+    "fixed5x5": (5, "0:5:50", (_ZF_PERFECT, *(
+        _Curve("mu", f"zf_quantized_B{B}", ScalingPolicy.fixed(B)) for B in (10, 15, 20)))),
+    "scaled5x5": (5, "0:5:25", (_ZF_PERFECT, _Curve("mu", "zf_quantized_scaled", _SCALED),
+                                _offset_reference)),
+    "scaled6x6": (6, "0:5:30", (_ZF_PERFECT, *(
+        _Curve("mu", f"zf_quantized_b{b_gap:g}", ScalingPolicy.approx_3db(b_gap))
+        for b_gap in (2.0, 4.0)))),
+    # alpha = frac * (M - 1) for frac = 0.5 and 1.3
+    "mux4x4": (4, "0:5:40", (_ZF_PERFECT, *(
+        _Curve("mu", f"zf_quantized_alpha{alpha:g}", ScalingPolicy.alpha_scaled(alpha))
+        for alpha in (0.5 * (4 - 1), 1.3 * (4 - 1))))),
+    "reg5x5": (5, "0:5:30", (_ZF_PERFECT, _Curve("mu", "rzf_perfect", precoder=RZF),
+                             _Curve("mu", "zf_quantized_scaled", _SCALED),
+                             _Curve("mu", "rzf_quantized_scaled", _SCALED, RZF))),
+    "compare44": (4, "0:5:20", (_Curve("mu", "rzf_quantized_scaled", _SCALED, RZF),
+                                *_BASELINES)),
+    "compare44b": (4, "0:5:20", (*(
+        _Curve("mu", f"rzf_quantized_B{B}", ScalingPolicy.fixed(B), RZF) for B in (5, 10, 15, 20)),
+        *_BASELINES)),
+    "compare88": (8, "0:5:20", (_Curve("mu", "rzf_quantized_scaled", _SCALED, RZF),
+                                _Curve("mu", "rzf_quantized_B20", ScalingPolicy.fixed(20), RZF),
+                                *_BASELINES)),
 }
+
+FIGURE_IDS = tuple(_PRESETS)
 
 
 def _fmt(value) -> str:
@@ -324,20 +271,19 @@ def curves_to_rows(experiment: str, curves: list[ThroughputCurve]) -> list[list[
 
 
 def _write_csv(out: str | None, experiment: str, header: list[str], rows: list[list[str]]) -> None:
-    if out == "-":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        return
-    target = out or f"{experiment}.csv"
-    with open(target, "w", newline="") as fh:
+    with (nullcontext(sys.stdout) if out == "-"
+          else open(out or f"{experiment}.csv", "w", newline="")) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
 
 def _run_figure(spec: ExperimentSpec) -> int:
-    curves = _PRESETS[spec.figure_id](spec)
+    M, default_grid, entries = _PRESETS[spec.figure_id]
+    grid = parse_snr_grid(spec.snr or default_grid)
+    curves = []
+    for entry in entries:
+        curves += entry(spec, M, grid) if callable(entry) else [_run_curve(spec, entry, M, grid)]
     _write_csv(spec.out, spec.figure_id, CSV_COLUMNS, curves_to_rows(spec.figure_id, curves))
     return 0
 
@@ -368,27 +314,12 @@ def _sweep_policy(spec: ExperimentSpec) -> ScalingPolicy | None:
 
 
 def _run_sweep(spec: ExperimentSpec) -> int:
-    grid = _grid(spec, "0:5:40")
-    K = spec.K if spec.K is not None else (1 if spec.engine == "miso" else spec.M)
-    if spec.engine == "mu":
-        cfg = sim.SimConfig(M=spec.M, K=K, snr_grid_db=grid, policy=_sweep_policy(spec),
-                            precoder=spec.precoder, csit=spec.csit,
-                            path=_resolved_path(spec, sim.FAST_DECOMPOSITION),
-                            trials=spec.trials, seed=spec.seed)
-        curves = [sim.mu_throughput(cfg)]
-    elif spec.engine == "miso":
-        cfg = sim.SimConfig(M=spec.M, K=K, snr_grid_db=grid, policy=_sweep_policy(spec),
-                            csit="quantized", path=_resolved_path(spec, sim.BRUTE_FORCE),
-                            trials=spec.trials, seed=spec.seed)
-        curves = [sim.miso_feedback_throughput(cfg)]
-    elif spec.engine in ("tdma", "random_bf"):
-        cfg = sim.SimConfig(M=spec.M, K=K, snr_grid_db=grid, csit="perfect",
-                            trials=spec.trials, seed=spec.seed)
-        runner = sim.tdma_throughput if spec.engine == "tdma" else sim.random_bf_throughput
-        curves = [runner(cfg)]
-    else:
+    if spec.engine not in _ENGINES:
         raise ConfigError(f"unknown engine {spec.engine!r}")
-    _write_csv(spec.out, "sweep", CSV_COLUMNS, curves_to_rows("sweep", curves))
+    policy = _sweep_policy(spec) if spec.engine in ("mu", "miso") else None
+    curve = _run_curve(spec, _Curve(spec.engine, policy=policy, precoder=spec.precoder), spec.M,
+                       parse_snr_grid(spec.snr or "0:5:40"), spec.K)
+    _write_csv(spec.out, "sweep", CSV_COLUMNS, curves_to_rows("sweep", [curve]))
     return 0
 
 
@@ -455,12 +386,14 @@ def _run_validate(spec: ExperimentSpec) -> int:
     print(f"scaled_bits_gap: {'PASS' if line_ok else 'FAIL'} "
           f"(max per-user gap {gap.mean_bps_hz.max():.3f} < 1.0)")
 
-    # multiplexing gain follows the alpha prediction
+    # multiplexing gain follows the alpha prediction; the 20 dB fit window
+    # sits at 40-60 dB because at 20-40 dB the alpha=1.5 slope is still
+    # about 1.74, not yet near its asymptote of 2
     line_ok = True
     details = []
     for frac in (0.5, 1.3):
         alpha = frac * 3.0
-        cfg = sim.SimConfig(M=4, K=4, snr_grid_db=parse_snr_grid("0:5:40"),
+        cfg = sim.SimConfig(M=4, K=4, snr_grid_db=parse_snr_grid("0:5:60"),
                             policy=ScalingPolicy.alpha_scaled(alpha),
                             path=sim.FAST_DECOMPOSITION, trials=trials, seed=seed)
         slope = bd.fit_multiplexing_gain(sim.mu_throughput(cfg))
@@ -548,13 +481,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 print(f"i/o error: {exc}", file=sys.stderr)
                 return 3
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be a JSON object")
-            file_values = raw
+            file_values = _load_config(text)
         spec = build_spec(file_values, {k: v for k, v in args.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

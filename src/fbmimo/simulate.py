@@ -72,14 +72,6 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", grid)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's outcome at one SNR point (diagnostics use)."""
-
-    sum_rate_bps_hz: float
-    resamples: int
-
-
 def _worker_count() -> int:
     n = min(os.cpu_count() or 1, 8)
     cap = os.environ.get("FBMIMO_THREADS", "")
@@ -159,76 +151,112 @@ def _sum_rate(H: np.ndarray, vectors: np.ndarray, P: float) -> float:
     return float(np.log2(1.0 + signal / (1.0 + interference)).sum())
 
 
-def _mu_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> tuple[float, float]:
-    resamples = 0
-    for _ in range(_MAX_RESAMPLES):
-        if cfg.csit == "perfect":
-            H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
-            G = H.conj()
-        else:
-            H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
-            G = h_hat.conj()
+def _resampled(attempt) -> tuple:
+    """Call attempt() until it stops raising SingularMatrixError.
+
+    Each call draws afresh from the trial's stream.  Returns the result
+    and the number of discarded draws.
+    """
+    for discarded in range(_MAX_RESAMPLES):
         try:
-            bf = _beamformers(G, cfg.precoder, P, cfg.csit)
+            return attempt(), discarded
         except SingularMatrixError:
-            resamples += 1
-            continue
-        return _sum_rate(H, bf.vectors, P), float(resamples)
+            pass
     raise RuntimeError(f"exceeded {_MAX_RESAMPLES} singular-channel resamples in one trial")
 
 
-def _gap_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> tuple[float, float, float]:
-    """Perfect-CSIT and quantized sum rates from one shared channel draw."""
-    resamples = 0
-    for _ in range(_MAX_RESAMPLES):
+def _mu_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+    if cfg.csit == "perfect":
+        H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
+        G = H.conj()
+    else:
         H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
-        try:
-            bf_perfect = _beamformers(H.conj(), cfg.precoder, P, "perfect_csit")
-            bf_fb = _beamformers(h_hat.conj(), cfg.precoder, P, "quantized")
-        except SingularMatrixError:
-            resamples += 1
-            continue
-        return _sum_rate(H, bf_perfect.vectors, P), _sum_rate(H, bf_fb.vectors, P), float(resamples)
-    raise RuntimeError(f"exceeded {_MAX_RESAMPLES} singular-channel resamples in one trial")
+        G = h_hat.conj()
+    return _sum_rate(H, _beamformers(G, cfg.precoder, P, cfg.csit).vectors, P)
 
 
-def _sweep(cfg: SimConfig, width: int, trial_at):
-    """Run trials at every SNR point; returns raw per-point trial arrays."""
-    per_point, bits, resamples = [], [], []
+def _gap_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+    """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
+    H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
+    bf_perfect = _beamformers(H.conj(), cfg.precoder, P, "perfect_csit")
+    bf_fb = _beamformers(h_hat.conj(), cfg.precoder, P, "quantized")
+    return (_sum_rate(H, bf_perfect.vectors, P) - _sum_rate(H, bf_fb.vectors, P)) / cfg.M
+
+
+def _miso_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+    if cfg.path == BRUTE_FORCE:
+        h = sample_complex_gaussian(cfg.M, gen)
+        cb = generate_codebook(cfg.M, b_int, gen)
+        z = quantize(h, cb).error_z
+        mag2 = float(np.real(np.vdot(h, h)))
+    else:
+        z = sample_quantized_pair(cfg.M, b_real, gen)[2]
+        mag2 = float(gen.gamma(cfg.M, 1.0))
+    return math.log2(1.0 + P * mag2 * (1.0 - z))
+
+
+def _tdma_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+    H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
+    best = float(np.max(np.sum(np.abs(H) ** 2, axis=1)))
+    return math.log2(1.0 + P * best)
+
+
+def _random_bf_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+    H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
+    beams = haar_unitary(cfg.M, gen)
+    gains = np.abs(H.conj() @ beams) ** 2
+    per_stream = P / cfg.M
+    sig = per_stream * gains
+    denom = 1.0 + per_stream * (gains.sum(axis=1, keepdims=True) - gains)
+    sinr_table = sig / denom
+    best_beam = np.argmax(sinr_table, axis=1)
+    best_val = sinr_table[np.arange(cfg.K), best_beam]
+    rate = 0.0
+    for m in range(cfg.M):
+        claim = best_val[best_beam == m]
+        if claim.size:
+            rate += math.log2(1.0 + float(claim.max()))
+    return rate
+
+
+def _curve(cfg: SimConfig, label: str, trial, policy: str | None = None,
+           precoder: str | None = None, feedback: bool = True) -> ThroughputCurve:
+    """Sweep the SNR grid and average trial(gen, cfg, P, b_real, b_int).
+
+    Every trial retries its draw while the beamformer build is singular and
+    the discarded draws are counted per point.  Curves with feedback=False
+    (the baselines) never resolve feedback bits, so they need no policy.
+    """
+    means, errs, bits, resamples = [], [], [], []
     for snr_db in cfg.snr_grid_db:
         P = 10.0 ** (snr_db / 10.0)
-        b_real, b_int = _resolve_bits(cfg, snr_db)
-        vals = map_trials(cfg.trials, cfg.seed, width, lambda gen: trial_at(gen, P, b_real, b_int))
-        per_point.append(vals)
+        b_real, b_int = _resolve_bits(cfg, snr_db) if feedback else (math.nan, None)
+        vals = map_trials(cfg.trials, cfg.seed, 2,
+                          lambda gen: _resampled(lambda: trial(gen, cfg, P, b_real, b_int)))
+        rates = vals[:, 0]
+        means.append(float(rates.mean()))
+        errs.append(float(rates.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0)
         bits.append(b_real)
-        resamples.append(int(vals[:, -1].sum()))
-    return per_point, bits, resamples
+        resamples.append(int(vals[:, 1].sum()))
+    if policy is None:
+        policy = "perfect" if cfg.csit == "perfect" else cfg.policy.describe()
+    return ThroughputCurve(
+        label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
+        std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
+        M=cfg.M, K=cfg.K, policy=policy, precoder=precoder or cfg.precoder, seed=cfg.seed,
+        b_bits=np.array(bits), resamples=np.array(resamples))
 
 
-def _point_stats(samples: np.ndarray) -> tuple[float, float]:
-    n = len(samples)
-    mean = float(samples.mean())
-    err = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, err
-
-
-def _policy_str(cfg: SimConfig) -> str:
-    return "perfect" if cfg.csit == "perfect" else cfg.policy.describe()
+def _require_square(cfg: SimConfig) -> None:
+    if cfg.K != cfg.M:
+        raise ConfigError(f"multiuser engine requires K == M, got K={cfg.K}, M={cfg.M}")
 
 
 def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     """Sum throughput M * E[log2(1 + SINR)] for the M-antenna, K=M-user
     downlink under the configured precoder and CSIT model."""
-    if cfg.K != cfg.M:
-        raise ConfigError(f"multiuser engine requires K == M, got K={cfg.K}, M={cfg.M}")
-    per_point, bits, resamples = _sweep(cfg, 2, lambda gen, P, br, bi: _mu_trial(gen, cfg, P, br, bi))
-    means, errs = zip(*(_point_stats(v[:, 0]) for v in per_point))
-    return ThroughputCurve(
-        label=label or f"{cfg.precoder.lower()}_{cfg.csit}",
-        snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means), std_err=np.array(errs),
-        trials=np.full(len(cfg.snr_grid_db), cfg.trials), M=cfg.M, K=cfg.K,
-        policy=_policy_str(cfg), precoder=cfg.precoder, seed=cfg.seed,
-        b_bits=np.array(bits), resamples=np.array(resamples))
+    _require_square(cfg)
+    return _curve(cfg, label or f"{cfg.precoder.lower()}_{cfg.csit}", _mu_trial)
 
 
 def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
@@ -238,30 +266,10 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
     (common random numbers), so the gap estimate is far less noisy than
     differencing two independent sweeps.
     """
-    if cfg.K != cfg.M:
-        raise ConfigError(f"multiuser engine requires K == M, got K={cfg.K}, M={cfg.M}")
+    _require_square(cfg)
     if cfg.csit != "quantized":
         raise ConfigError("rate_gap compares against perfect CSIT; set csit='quantized'")
-    per_point, bits, resamples = _sweep(cfg, 3, lambda gen, P, br, bi: _gap_trial(gen, cfg, P, br, bi))
-    stats = [_point_stats((v[:, 0] - v[:, 1]) / cfg.M) for v in per_point]
-    means, errs = zip(*stats)
-    return ThroughputCurve(
-        label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
-        std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
-        M=cfg.M, K=cfg.K, policy=_policy_str(cfg), precoder=cfg.precoder, seed=cfg.seed,
-        b_bits=np.array(bits), resamples=np.array(resamples))
-
-
-def _miso_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> tuple[float, float]:
-    if cfg.path == BRUTE_FORCE:
-        h = sample_complex_gaussian(cfg.M, gen)
-        cb = generate_codebook(cfg.M, b_int, gen)
-        z = quantize(h, cb).error_z
-        mag2 = float(np.real(np.vdot(h, h)))
-    else:
-        z = sample_quantized_pair(cfg.M, b_real, gen)[2]
-        mag2 = float(gen.gamma(cfg.M, 1.0))
-    return math.log2(1.0 + P * mag2 * (1.0 - z)), 0.0
+    return _curve(cfg, label, _gap_trial)
 
 
 def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -> ThroughputCurve:
@@ -271,30 +279,13 @@ def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -
         raise ConfigError(f"miso engine requires K == 1, got K={cfg.K}")
     if cfg.csit != "quantized":
         raise ConfigError("miso engine models quantized feedback; set csit='quantized'")
-    per_point, bits, resamples = _sweep(cfg, 2, lambda gen, P, br, bi: _miso_trial(gen, cfg, P, br, bi))
-    means, errs = zip(*(_point_stats(v[:, 0]) for v in per_point))
-    return ThroughputCurve(
-        label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
-        std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
-        M=cfg.M, K=cfg.K, policy=_policy_str(cfg), precoder="BF", seed=cfg.seed,
-        b_bits=np.array(bits), resamples=np.array(resamples))
+    return _curve(cfg, label, _miso_trial, precoder="BF")
 
 
 def tdma_throughput(cfg: SimConfig, label: str = "tdma") -> ThroughputCurve:
     """Serve only the instantaneously strongest of K users with full-power
     perfect-CSIT beamforming: log2(1 + P max_i ||h_i||^2)."""
-    def trial(gen, P, b_real, b_int):
-        H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
-        best = float(np.max(np.sum(np.abs(H) ** 2, axis=1)))
-        return (math.log2(1.0 + P * best),)
-
-    cfg = _as_perfect(cfg)
-    per_point, _, _ = _sweep(cfg, 1, trial)
-    means, errs = zip(*(_point_stats(v[:, 0]) for v in per_point))
-    return ThroughputCurve(
-        label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
-        std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
-        M=cfg.M, K=cfg.K, policy="tdma", precoder="BF", seed=cfg.seed)
+    return _curve(cfg, label, _tdma_trial, policy="tdma", precoder="BF", feedback=False)
 
 
 def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> ThroughputCurve:
@@ -302,40 +293,8 @@ def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> Throughput
     each beam goes to the highest reporter, unclaimed beams send nothing."""
     if cfg.K < cfg.M:
         raise ConfigError(f"random beamforming requires K >= M, got K={cfg.K}, M={cfg.M}")
-
-    def trial(gen, P, b_real, b_int):
-        H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
-        beams = haar_unitary(cfg.M, gen)
-        gains = np.abs(H.conj() @ beams) ** 2
-        per_stream = P / cfg.M
-        sig = per_stream * gains
-        denom = 1.0 + per_stream * (gains.sum(axis=1, keepdims=True) - gains)
-        sinr_table = sig / denom
-        best_beam = np.argmax(sinr_table, axis=1)
-        best_val = sinr_table[np.arange(cfg.K), best_beam]
-        rate = 0.0
-        for m in range(cfg.M):
-            claim = best_val[best_beam == m]
-            if claim.size:
-                rate += math.log2(1.0 + float(claim.max()))
-        return (rate,)
-
-    cfg = _as_perfect(cfg)
-    per_point, _, _ = _sweep(cfg, 1, trial)
-    means, errs = zip(*(_point_stats(v[:, 0]) for v in per_point))
-    return ThroughputCurve(
-        label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
-        std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
-        M=cfg.M, K=cfg.K, policy="random_bf/max-sinr-claim", precoder="BF", seed=cfg.seed)
-
-
-def _as_perfect(cfg: SimConfig) -> SimConfig:
-    """Baselines ignore feedback; normalize the config so no policy is needed."""
-    if cfg.csit == "perfect":
-        return cfg
-    return SimConfig(M=cfg.M, K=cfg.K, snr_grid_db=cfg.snr_grid_db, policy=None,
-                     precoder=cfg.precoder, csit="perfect", path=cfg.path,
-                     trials=cfg.trials, seed=cfg.seed)
+    return _curve(cfg, label, _random_bf_trial, policy="random_bf/max-sinr-claim",
+                  precoder="BF", feedback=False)
 
 
 def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
@@ -349,20 +308,16 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
     b_int = int(math.ceil(B - 1e-9)) if path == BRUTE_FORCE else None
 
     def trial(gen):
-        resamples = 0
-        for _ in range(_MAX_RESAMPLES):
+        def attempt():
             H, h_hat = _draw_quantized(gen, M, M, b_int, float(B), path)
-            dirs = H / np.linalg.norm(H, axis=1, keepdims=True)
-            try:
-                bf = zf_beamformers(h_hat.conj())
-            except SingularMatrixError:
-                resamples += 1
-                continue
-            signal = abs(np.vdot(dirs[0], bf.vectors[:, 0])) ** 2
-            cross = abs(np.vdot(dirs[1], bf.vectors[:, 0])) ** 2
-            z1 = 1.0 - abs(np.vdot(dirs[1], h_hat[1])) ** 2
-            return signal, cross, min(max(z1, 0.0), 1.0), float(resamples)
-        raise RuntimeError("exceeded resample budget")
+            return H, h_hat, zf_beamformers(h_hat.conj())
+
+        (H, h_hat, bf), resamples = _resampled(attempt)
+        dirs = H / np.linalg.norm(H, axis=1, keepdims=True)
+        signal = abs(np.vdot(dirs[0], bf.vectors[:, 0])) ** 2
+        cross = abs(np.vdot(dirs[1], bf.vectors[:, 0])) ** 2
+        z1 = 1.0 - abs(np.vdot(dirs[1], h_hat[1])) ** 2
+        return signal, cross, min(max(z1, 0.0), 1.0), float(resamples)
 
     vals = map_trials(n_trials, seed, 4, trial)
     return {

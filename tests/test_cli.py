@@ -32,6 +32,12 @@ class TestParseSnrGrid:
             with pytest.raises(ConfigError):
                 parse_snr_grid(bad)
 
+    def test_decimal_step_without_float_drift(self):
+        assert parse_snr_grid("0:0.1:1") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                             0.9, 1.0)
+        assert len(parse_snr_grid("0:3:10")) == 4
+        assert len(parse_snr_grid("-10:2.5:5")) == 7
+
 
 class TestParseBitRange:
     def test_scalar_and_range(self):
@@ -192,6 +198,34 @@ class TestFigureCommand:
         assert (tmp_path / "compare44.csv").exists()
 
 
+PRESET_LABELS = {
+    "miso4x1": ["miso_csit_reference", "miso_nocsit_reference", "miso_fb_approx_reference",
+                "miso_fb_quantized"],
+    "fixed5x5": ["zf_perfect", "zf_quantized_B10", "zf_quantized_B15", "zf_quantized_B20"],
+    "scaled5x5": ["zf_perfect", "zf_quantized_scaled", "sum_capacity_offset_reference"],
+    "scaled6x6": ["zf_perfect", "zf_quantized_b2", "zf_quantized_b4"],
+    "mux4x4": ["zf_perfect", "zf_quantized_alpha1.5", "zf_quantized_alpha3.9"],
+    "reg5x5": ["zf_perfect", "rzf_perfect", "zf_quantized_scaled", "rzf_quantized_scaled"],
+    "compare44": ["rzf_quantized_scaled", "tdma", "random_bf"],
+    "compare44b": ["rzf_quantized_B5", "rzf_quantized_B10", "rzf_quantized_B15",
+                   "rzf_quantized_B20", "tdma", "random_bf"],
+    "compare88": ["rzf_quantized_scaled", "rzf_quantized_B20", "tdma", "random_bf"],
+}
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_preset_curves_and_rerun(fid, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["figure", fid, "--trials", "8", "--snr", "0:10:10"]
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    header, rows = _read_csv(a)
+    assert header == CSV_COLUMNS
+    assert [r[1] for r in rows] == [label for label in PRESET_LABELS[fid] for _ in range(2)]
+    assert all(r[0] == fid for r in rows)
+
+
 class TestValidateCommand:
     def test_prints_one_line_per_check(self, capsys):
         code = main(["validate", "bounds", "--trials", "150", "--seed", "42"])
@@ -205,6 +239,10 @@ class TestValidateCommand:
             assert m, line
             results[name] = m.group(1)
         assert code == (0 if all(v == "PASS" for v in results.values()) else 1)
+
+    def test_multiplexing_gain_passes_at_seed_7(self, capsys):
+        assert main(["validate", "bounds", "--trials", "100", "--seed", "7"]) == 0
+        assert "multiplexing_gain: PASS" in capsys.readouterr().out
 
 
 class TestExitCodes:
