@@ -8,7 +8,7 @@ from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataEr
                      SingularMatrixError)
 from .numerics import (RngStream, angle_sin2, beta_fn, haar_unitary, invert,
                        ln_gamma, sample_complex_gaussian, sample_isotropic_unit)
-from .precoder import BeamformerSet, rzf_beamformers, sinr, zf_beamformers, zf_rates_perfect_csit
+from .precoder import rzf_beamformers, sinr, zf_beamformers, zf_rates_perfect_csit
 from .quantizer import (Codebook, QuantizationOutcome, error_ccdf, error_upper_bound,
                         expected_error, expected_neg_log2_error, expected_optimal_error,
                         generate_codebook, neg_log2_error_bounds, optimal_error_cdf,

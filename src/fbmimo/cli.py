@@ -39,7 +39,6 @@ class ExperimentSpec:
     figure_id: str | None = None
     table_kind: str | None = None
     validate_target: str | None = None
-    grid: str = "default"
     M: int = 4
     K: int | None = None
     engine: str = "mu"
@@ -339,8 +338,6 @@ def _run_table(spec: ExperimentSpec) -> int:
 
 
 def _run_validate(spec: ExperimentSpec) -> int:
-    if spec.grid != "default":
-        raise ConfigError(f"unknown validation grid {spec.grid!r}; expected 'default'")
     trials = spec.trials
     seed = spec.seed
     ok = True
@@ -464,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = subs.add_parser("validate", help="check analytic bounds against simulation")
     p_val.add_argument("validate_target", choices=("bounds",))
     _add_common_flags(p_val)
-    p_val.add_argument("--grid", default=None)
 
     return parser
 

@@ -7,8 +7,6 @@ inner products ``h_i^H v``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -18,23 +16,15 @@ ZF = "ZF"
 RZF = "RZF"
 
 
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Unit-norm beamforming vectors, one per user, as columns of ``vectors``."""
-
-    kind: str
-    vectors: np.ndarray
-    source: str = "quantized"
-
-
-def zf_beamformers(G: np.ndarray, source: str = "quantized") -> BeamformerSet:
-    """Normalized columns of G^-1; beam j is orthogonal to every row i != j."""
+def zf_beamformers(G: np.ndarray) -> np.ndarray:
+    """Normalized columns of G^-1, one unit-norm beam per user as an (M, K)
+    matrix; beam j is orthogonal to every row i != j."""
     inv = invert(G)
-    return BeamformerSet(kind=ZF, vectors=inv / np.linalg.norm(inv, axis=0), source=source)
+    return inv / np.linalg.norm(inv, axis=0)
 
 
-def rzf_beamformers(G: np.ndarray, P: float, source: str = "quantized") -> BeamformerSet:
-    """Normalized columns of G^H (G G^H + (M/P) I)^-1.
+def rzf_beamformers(G: np.ndarray, P: float) -> np.ndarray:
+    """Normalized columns of G^H (G G^H + (M/P) I)^-1 as an (M, K) matrix.
 
     The M/P ridge keeps the system invertible at any SNR and the beams
     converge to the zero-forcing directions as P grows.
@@ -45,13 +35,14 @@ def rzf_beamformers(G: np.ndarray, P: float, source: str = "quantized") -> Beamf
     M = G.shape[1]
     gram = G @ G.conj().T + (M / P) * np.eye(G.shape[0], dtype=complex)
     v = np.linalg.solve(gram, G).conj().T
-    return BeamformerSet(kind=RZF, vectors=v / np.linalg.norm(v, axis=0), source=source)
+    return v / np.linalg.norm(v, axis=0)
 
 
-def sinr(h: np.ndarray, beamformers: BeamformerSet, i: int, P: float) -> float:
-    """SINR of user i under equal per-stream power P/M across all beams."""
-    gains = np.abs(np.asarray(h).conj() @ beamformers.vectors) ** 2
-    per_stream = P / beamformers.vectors.shape[1]
+def sinr(h: np.ndarray, beams: np.ndarray, i: int, P: float) -> float:
+    """SINR of user i under equal per-stream power P/M across all beams
+    (the columns of ``beams``)."""
+    gains = np.abs(np.asarray(h).conj() @ beams) ** 2
+    per_stream = P / beams.shape[1]
     signal = per_stream * gains[i]
     interference = per_stream * (gains.sum() - gains[i])
     return float(signal / (1.0 + interference))
@@ -61,7 +52,7 @@ def zf_rates_perfect_csit(H: np.ndarray, P: float) -> np.ndarray:
     """Per-user rates log2(1 + (P/M)|h_i^H v_i|^2) for perfect-CSIT ZF,
     where the interference term is exactly zero by construction."""
     H = np.asarray(H, dtype=complex)
-    bf = zf_beamformers(H, source="perfect_csit")
+    beams = zf_beamformers(H)
     M = H.shape[1]
-    diag_gains = np.abs(np.einsum("ij,ji->i", H, bf.vectors)) ** 2
+    diag_gains = np.abs(np.einsum("ij,ji->i", H, beams)) ** 2
     return np.log2(1.0 + (P / M) * diag_gains)

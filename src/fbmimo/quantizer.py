@@ -92,6 +92,23 @@ def error_ccdf(z, M: int, B: float):
     return float(out) if np.isscalar(z) else out
 
 
+def _ln_gamma_ratio(x: float, c: float) -> float:
+    """ln Gamma(x + c) - ln Gamma(x) for x >= 1 and 0 < c <= 2.
+
+    Differencing two log-gammas loses about log10(x) digits, so for
+    x >= 32 the Stirling series is differenced term by term instead; its
+    truncation error is below 1e-16 there.
+    """
+    if x < 32.0:
+        return math.lgamma(x + c) - math.lgamma(x)
+
+    def series(y: float) -> float:  # ln Gamma(y) - (y - 1/2) ln y + y - ln(2 pi)/2
+        y2 = y * y
+        return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * y2)) / y2) / y2) / y
+
+    return (x - 0.5) * math.log1p(c / x) + c * math.log(x + c) - c + series(x + c) - series(x)
+
+
 def expected_error(M: int, B: float) -> float:
     """E[Z] = 2^B * beta(2^B, M/(M-1)), evaluated in log space.
 
@@ -103,8 +120,7 @@ def expected_error(M: int, B: float) -> float:
     if B > 500.0:
         # beta(n, c) ~ Gamma(c) n^(-c) for huge n; avoids inf - inf in lgamma
         return math.exp(ln_gamma(c) - (c - 1.0) * B * _LN2)
-    n = 2.0 ** B
-    return math.exp(B * _LN2 + ln_gamma(n) + ln_gamma(c) - ln_gamma(n + c))
+    return math.exp(B * _LN2 + ln_gamma(c) - _ln_gamma_ratio(2.0 ** B, c))
 
 
 def error_upper_bound(M: int, B: float) -> float:

@@ -2,10 +2,9 @@
 
 Every engine sweeps an SNR grid and averages per-trial sum rates.  Trial t
 draws all of its randomness from RngStream(seed, t), so results are
-bit-identical for a given (config, seed) no matter how many worker threads
-run (FBMIMO_THREADS caps the pool) and channel draws are shared across SNR
-points and across engines that draw in the same order, which acts as
-common random numbers for gap and offset measurements.
+bit-identical for a given (config, seed), and channel draws are shared
+across SNR points and across engines that draw in the same order, which
+acts as common random numbers for gap and offset measurements.
 
 Two quantized-CSIT paths are available: brute_force enumerates a fresh
 random codebook per user per trial (integer B <= 30, non-integer B is
@@ -16,8 +15,6 @@ and is exact in distribution at any real B.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,38 +69,15 @@ class SimConfig:
         object.__setattr__(self, "snr_grid_db", grid)
 
 
-def _worker_count() -> int:
-    n = min(os.cpu_count() or 1, 8)
-    cap = os.environ.get("FBMIMO_THREADS", "")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return n
-
-
 def map_trials(n_trials: int, seed: int, width: int, fn) -> np.ndarray:
     """Evaluate fn(generator) -> width floats for each trial slot.
 
-    Slot t always uses RngStream(seed, t), and slots write into disjoint
-    rows of a preallocated array, so the result is independent of the
-    worker count and of scheduling order.
+    Row t is fn(RngStream(seed, t).generator()), so a trial's result does
+    not depend on how many trials run around it.
     """
     out = np.empty((n_trials, width))
-
-    def fill(lo: int, hi: int) -> None:
-        for t in range(lo, hi):
-            out[t] = fn(RngStream(seed, t).generator())
-
-    workers = _worker_count()
-    if workers <= 1 or n_trials < 256:
-        fill(0, n_trials)
-        return out
-    chunk = math.ceil(n_trials / workers)
-    bounds = [(lo, min(lo + chunk, n_trials)) for lo in range(0, n_trials, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda ab: fill(*ab), bounds))
+    for t in range(n_trials):
+        out[t] = fn(RngStream(seed, t).generator())
     return out
 
 
@@ -137,10 +111,10 @@ def _draw_quantized(gen: np.random.Generator, M: int, K: int, b_int: int | None,
     return np.sqrt(mag2)[:, None] * h_dir, h_hat
 
 
-def _beamformers(G_rows: np.ndarray, precoder: str, P: float, source: str):
+def _beamformers(G_rows: np.ndarray, precoder: str, P: float) -> np.ndarray:
     if precoder == ZF:
-        return zf_beamformers(G_rows, source=source)
-    return rzf_beamformers(G_rows, P, source=source)
+        return zf_beamformers(G_rows)
+    return rzf_beamformers(G_rows, P)
 
 
 def _sum_rate(H: np.ndarray, vectors: np.ndarray, P: float) -> float:
@@ -172,15 +146,15 @@ def _mu_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -
     else:
         H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
         G = h_hat.conj()
-    return _sum_rate(H, _beamformers(G, cfg.precoder, P, cfg.csit).vectors, P)
+    return _sum_rate(H, _beamformers(G, cfg.precoder, P), P)
 
 
 def _gap_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
     H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
-    bf_perfect = _beamformers(H.conj(), cfg.precoder, P, "perfect_csit")
-    bf_fb = _beamformers(h_hat.conj(), cfg.precoder, P, "quantized")
-    return (_sum_rate(H, bf_perfect.vectors, P) - _sum_rate(H, bf_fb.vectors, P)) / cfg.M
+    beams_perfect = _beamformers(H.conj(), cfg.precoder, P)
+    beams_fb = _beamformers(h_hat.conj(), cfg.precoder, P)
+    return (_sum_rate(H, beams_perfect, P) - _sum_rate(H, beams_fb, P)) / cfg.M
 
 
 def _miso_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
@@ -312,10 +286,10 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
             H, h_hat = _draw_quantized(gen, M, M, b_int, float(B), path)
             return H, h_hat, zf_beamformers(h_hat.conj())
 
-        (H, h_hat, bf), resamples = _resampled(attempt)
+        (H, h_hat, beams), resamples = _resampled(attempt)
         dirs = H / np.linalg.norm(H, axis=1, keepdims=True)
-        signal = abs(np.vdot(dirs[0], bf.vectors[:, 0])) ** 2
-        cross = abs(np.vdot(dirs[1], bf.vectors[:, 0])) ** 2
+        signal = abs(np.vdot(dirs[0], beams[:, 0])) ** 2
+        cross = abs(np.vdot(dirs[1], beams[:, 0])) ** 2
         z1 = 1.0 - abs(np.vdot(dirs[1], h_hat[1])) ** 2
         return signal, cross, min(max(z1, 0.0), 1.0), float(resamples)
 

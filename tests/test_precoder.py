@@ -6,8 +6,7 @@ from scipy import stats
 
 from fbmimo.errors import DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, angle_sin2, sample_complex_gaussian
-from fbmimo.precoder import (BeamformerSet, rzf_beamformers, sinr, zf_beamformers,
-                             zf_rates_perfect_csit)
+from fbmimo.precoder import rzf_beamformers, sinr, zf_beamformers, zf_rates_perfect_csit
 from fbmimo.quantizer import sample_error
 from fbmimo.simulate import collect_zf_statistics
 
@@ -15,24 +14,24 @@ from fbmimo.simulate import collect_zf_statistics
 class TestZfBeamformers:
     def test_hand_case(self):
         g = np.array([[1.0, 0.0], [1.0 / math.sqrt(2), 1.0 / math.sqrt(2)]], dtype=complex)
-        bf = zf_beamformers(g)
-        np.testing.assert_allclose(bf.vectors[:, 0], np.array([1.0, -1.0]) / math.sqrt(2),
+        beams = zf_beamformers(g)
+        np.testing.assert_allclose(beams[:, 0], np.array([1.0, -1.0]) / math.sqrt(2),
                                    atol=1e-12)
-        np.testing.assert_allclose(bf.vectors[:, 1], np.array([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(beams[:, 1], np.array([0.0, 1.0]), atol=1e-12)
 
     def test_cross_gains_vanish(self):
         rng = RngStream(1, 0).generator()
         for _ in range(10):
             g = sample_complex_gaussian(4, rng, size=4)
-            bf = zf_beamformers(g)
-            cross = g @ bf.vectors
+            beams = zf_beamformers(g)
+            cross = g @ beams
             off_diag = cross - np.diag(np.diagonal(cross))
             assert np.max(np.abs(off_diag)) < 1e-10
 
     def test_unit_columns(self):
         g = sample_complex_gaussian(5, RngStream(2, 0).generator(), size=5)
-        bf = zf_beamformers(g)
-        np.testing.assert_allclose(np.linalg.norm(bf.vectors, axis=0), 1.0, atol=1e-12)
+        beams = zf_beamformers(g)
+        np.testing.assert_allclose(np.linalg.norm(beams, axis=0), 1.0, atol=1e-12)
 
     def test_singular_raises(self):
         g = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -43,9 +42,9 @@ class TestZfBeamformers:
 class TestRzfBeamformers:
     def test_unit_columns_and_finiteness_on_ill_conditioned_input(self):
         g = np.array([[1.0, 0.0], [1.0, 1e-9]], dtype=complex)
-        bf = rzf_beamformers(g, P=10.0)
-        assert np.all(np.isfinite(bf.vectors))
-        np.testing.assert_allclose(np.linalg.norm(bf.vectors, axis=0), 1.0, atol=1e-12)
+        beams = rzf_beamformers(g, P=10.0)
+        assert np.all(np.isfinite(beams))
+        np.testing.assert_allclose(np.linalg.norm(beams, axis=0), 1.0, atol=1e-12)
 
     def test_converges_to_zf_directions(self):
         g = sample_complex_gaussian(4, RngStream(3, 0).generator(), size=4)
@@ -53,7 +52,7 @@ class TestRzfBeamformers:
         worst = []
         for p in (1e1, 1e3, 1e5, 1e8):
             rz = rzf_beamformers(g, P=p)
-            worst.append(max(angle_sin2(rz.vectors[:, j], zf.vectors[:, j]) for j in range(4)))
+            worst.append(max(angle_sin2(rz[:, j], zf[:, j]) for j in range(4)))
         assert all(b <= a + 1e-12 for a, b in zip(worst, worst[1:]))
         assert worst[-1] < 1e-10
 
@@ -65,24 +64,23 @@ class TestRzfBeamformers:
 
 class TestSinr:
     def test_hand_case(self):
-        vectors = np.array([[1.0, math.sin(0.1)], [0.0, math.cos(0.1)]], dtype=complex)
-        bf = BeamformerSet(kind="ZF", vectors=vectors)
+        beams = np.array([[1.0, math.sin(0.1)], [0.0, math.cos(0.1)]], dtype=complex)
         h = np.array([1.0, 0.0], dtype=complex)
-        got = sinr(h, bf, 0, P=10.0)
+        got = sinr(h, beams, 0, P=10.0)
         want = 5.0 / (1.0 + 5.0 * math.sin(0.1) ** 2)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_zero_power(self):
-        bf = BeamformerSet(kind="ZF", vectors=np.eye(2, dtype=complex))
-        assert sinr(np.array([1.0, 0.0], dtype=complex), bf, 0, P=0.0) == 0.0
+        beams = np.eye(2, dtype=complex)
+        assert sinr(np.array([1.0, 0.0], dtype=complex), beams, 0, P=0.0) == 0.0
 
     def test_perfect_zf_denominator_is_unity(self):
         rng = RngStream(4, 0).generator()
         h_rows = sample_complex_gaussian(3, rng, size=3)
-        bf = zf_beamformers(h_rows.conj(), source="perfect_csit")
+        beams = zf_beamformers(h_rows.conj())
         for i in range(3):
-            full = sinr(h_rows[i], bf, i, P=100.0)
-            gain = abs(np.vdot(h_rows[i], bf.vectors[:, i])) ** 2
+            full = sinr(h_rows[i], beams, i, P=100.0)
+            gain = abs(np.vdot(h_rows[i], beams[:, i])) ** 2
             np.testing.assert_allclose(full, (100.0 / 3.0) * gain, rtol=1e-9)
 
 

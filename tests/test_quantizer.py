@@ -102,12 +102,9 @@ class TestErrorCcdf:
 
 class TestExpectedError:
     def test_two_antenna_closed_form(self):
-        # E[Z] = 1/(2^B + 1) when M = 2.  The log-gamma difference amplifies
-        # ulps roughly like 2^B * B, so the tolerance widens with B.
-        for B in range(0, 9):
+        # E[Z] = 1/(2^B + 1) when M = 2
+        for B in range(0, 61):
             np.testing.assert_allclose(expected_error(2, B), 1.0 / (2 ** B + 1), rtol=1e-12)
-        for B in range(9, 21):
-            np.testing.assert_allclose(expected_error(2, B), 1.0 / (2 ** B + 1), rtol=5e-9)
 
     def test_uniform_base_case(self):
         np.testing.assert_allclose(expected_error(2, 0), 0.5, rtol=1e-12)
@@ -125,7 +122,7 @@ class TestExpectedError:
 
     def test_below_upper_bound(self):
         for M in range(2, 9):
-            for B in range(0, 21):
+            for B in range(0, 61):
                 assert expected_error(M, B) <= error_upper_bound(M, B) + 1e-15
 
     def test_real_valued_bits_accepted(self):

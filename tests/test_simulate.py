@@ -6,6 +6,7 @@ from scipy import integrate
 
 from fbmimo.bounds import ScalingPolicy
 from fbmimo.errors import CapacityError, ConfigError
+from fbmimo.numerics import RngStream
 from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, map_trials,
                              miso_feedback_throughput, mu_throughput, random_bf_throughput,
                              rate_gap, tdma_throughput)
@@ -64,13 +65,10 @@ class TestMapTrials:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, map_trials(300, 12, 2, fn))
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        fn = lambda gen: (gen.standard_normal(),)
-        monkeypatch.setenv("FBMIMO_THREADS", "1")
-        serial = map_trials(600, 3, 1, fn)
-        monkeypatch.setenv("FBMIMO_THREADS", "4")
-        pooled = map_trials(600, 3, 1, fn)
-        assert np.array_equal(serial, pooled)
+    def test_row_t_draws_from_stream_t(self):
+        fn = lambda gen: (gen.standard_normal(), gen.random())
+        want = [fn(RngStream(3, t).generator()) for t in range(300)]
+        assert np.array_equal(map_trials(300, 3, 2, fn), want)
 
 
 class TestMuThroughput:
@@ -84,14 +82,6 @@ class TestMuThroughput:
         b = mu_throughput(cfg)
         assert np.array_equal(a.mean_bps_hz, b.mean_bps_hz)
         assert np.array_equal(a.std_err, b.std_err)
-
-    def test_thread_count_invariance(self, monkeypatch):
-        cfg = _cfg(M=3, K=3, trials=400, policy=B4)
-        monkeypatch.setenv("FBMIMO_THREADS", "1")
-        a = mu_throughput(cfg)
-        monkeypatch.setenv("FBMIMO_THREADS", "4")
-        b = mu_throughput(cfg)
-        assert np.array_equal(a.mean_bps_hz, b.mean_bps_hz)
 
     def test_perfect_csit_matches_scalar_oracle(self):
         # perfect-CSIT ZF reduces each user to an Exp(1) scalar channel at P/M
