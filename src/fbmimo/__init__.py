@@ -5,7 +5,7 @@ from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixe
                      miso_reference, mux_gain_prediction, rate_gap_bound,
                      rvq_bit_penalty, zf_dpc_power_offset_db)
 from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataError,
-                     SingularMatrixError)
+                     ResampleLimitError, SingularMatrixError)
 from .numerics import (RngStream, angle_sin2, beta_fn, haar_unitary, invert,
                        ln_gamma, sample_complex_gaussian, sample_isotropic_unit)
 from .precoder import rzf_beamformers, sinr, zf_beamformers, zf_rates_perfect_csit

@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds as bd
 from . import simulate as sim
 from .bounds import ScalingPolicy, ThroughputCurve
-from .errors import CapacityError, ConfigError, DomainError
+from .errors import CapacityError, ConfigError, DomainError, ResampleLimitError
 from .precoder import RZF, ZF
 
 CSV_COLUMNS = ["experiment", "curve", "M", "K", "policy", "precoder", "B_bits",
@@ -419,6 +419,9 @@ def run(spec: ExperimentSpec) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ResampleLimitError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return 4
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

@@ -19,3 +19,7 @@ class ConfigError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few data points to carry out the requested estimate."""
+
+
+class ResampleLimitError(RuntimeError):
+    """A trial kept drawing singular channels past the resample budget."""

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
 
 from .errors import DomainError, SingularMatrixError
 
@@ -93,7 +93,9 @@ def invert(a: np.ndarray) -> np.ndarray:
     scale = np.linalg.norm(a)
     if np.min(np.abs(np.diagonal(lu))) <= 1e-12 * scale:
         raise SingularMatrixError("matrix is singular to working precision")
-    return lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex), check_finite=False)
+    # numpy's inverse gives the same bits as solving on scipy's factors
+    # above, without waking scipy's OpenBLAS thread pool on a tiny system
+    return np.linalg.inv(a)
 
 
 def ln_gamma(x: float) -> float:

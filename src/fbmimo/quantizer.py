@@ -73,21 +73,27 @@ def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
     norm2 = float(np.real(np.vdot(h, h)))
     if norm2 == 0.0:
         raise DomainError("cannot quantize the zero vector")
-    cos2 = np.abs(codebook.words @ h.conj()) ** 2 / norm2
+    # einsum never reaches BLAS; a (2^B, M) matvec there wakes OpenBLAS's
+    # thread pool, whose hand-off costs far more than the product itself
+    cos2 = np.abs(np.einsum("km,m->k", codebook.words, h.conj())) ** 2 / norm2
     index = int(np.argmax(cos2))
     error_z = min(max(1.0 - float(cos2[index]), 0.0), 1.0)
     return QuantizationOutcome(index=index, h_hat=codebook.words[index], error_z=error_z)
 
 
 def error_ccdf(z, M: int, B: float):
-    """Pr(Z >= z) = (1 - z^(M-1))^(2^B) for the minimum-angle error Z."""
+    """Pr(Z >= z) = (1 - z^(M-1))^(2^B) for the minimum-angle error Z.
+
+    Evaluated as exp(-exp(B ln 2 + ln(-ln(1 - z^(M-1))))) so that 2^B is
+    never formed and any real B stays finite.
+    """
     _check_m(M)
     _check_bits(B)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0) or np.any(z_arr > 1.0):
         raise DomainError("z must lie in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp((2.0 ** B) * np.log1p(-(z_arr ** (M - 1))))
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.exp(-np.exp(B * _LN2 + np.log(-np.log1p(-(z_arr ** (M - 1))))))
     out = np.where(z_arr >= 1.0, 0.0, out)
     return float(out) if np.isscalar(z) else out
 
@@ -135,11 +141,15 @@ def expected_neg_log2_error(M: int, B: float) -> float:
 
     The harmonic number is evaluated through the digamma identity
     H(n) = psi(n + 1) + gamma, which is exact and extends smoothly to
-    non-integer 2^B.
+    non-integer 2^B.  Past B = 500 it is B ln 2 + gamma, whose error
+    1/(2 * 2^B) is far below rounding and which never forms 2^B.
     """
     _check_m(M)
     _check_bits(B)
-    harmonic = float(digamma(2.0 ** B + 1.0)) + np.euler_gamma
+    if B > 500.0:
+        harmonic = B * _LN2 + np.euler_gamma
+    else:
+        harmonic = float(digamma(2.0 ** B + 1.0)) + np.euler_gamma
     return LOG2E * harmonic / (M - 1.0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ScalingPolicy, ThroughputCurve
-from .errors import CapacityError, ConfigError, SingularMatrixError
+from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
 from .quantizer import (MAX_CODEBOOK_BITS, generate_codebook, quantize,
@@ -136,7 +136,7 @@ def _resampled(attempt) -> tuple:
             return attempt(), discarded
         except SingularMatrixError:
             pass
-    raise RuntimeError(f"exceeded {_MAX_RESAMPLES} singular-channel resamples in one trial")
+    raise ResampleLimitError(f"exceeded {_MAX_RESAMPLES} singular-channel resamples in one trial")
 
 
 def _mu_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:

@@ -10,7 +10,7 @@ import pytest
 from fbmimo.bounds import ScalingPolicy
 from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, main,
                         parse_bit_range, parse_config, parse_snr_grid)
-from fbmimo.errors import ConfigError
+from fbmimo.errors import ConfigError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
 from fbmimo.simulate import FAST_DECOMPOSITION, SimConfig, mu_throughput
 
@@ -262,6 +262,17 @@ class TestExitCodes:
     def test_unwritable_output(self, tmp_path):
         assert main(["table", "quantizer", "--M", "4", "--B", "3",
                      "--out", str(tmp_path / "missing" / "t.csv")]) == 3
+
+    def test_resample_budget_exhausted(self, monkeypatch, capsys):
+        def always_singular(rows):
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr("fbmimo.simulate.zf_beamformers", always_singular)
+        code = main(["sweep", "--engine", "mu", "--M", "2", "--csit", "perfect",
+                     "--snr", "0:5:0", "--trials", "1", "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "resamples" in err and "Traceback" not in err
 
     def test_config_file_supplies_fields(self, tmp_path):
         p = tmp_path / "ok.json"

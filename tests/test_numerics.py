@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.linalg import lu_factor, lu_solve
 
 from fbmimo.errors import DomainError, SingularMatrixError
 from fbmimo.numerics import (RngStream, angle_sin2, beta_fn, haar_unitary, invert,
@@ -98,6 +99,15 @@ class TestInvert:
         for _ in range(20):
             a = sample_complex_gaussian(5, rng, size=5)
             np.testing.assert_allclose(a @ invert(a), np.eye(5), atol=1e-10)
+
+    def test_bitwise_equal_to_lu_solve(self):
+        # reference: solving A X = I on scipy's LU factors
+        rng = RngStream(9, 0).generator()
+        for M in range(2, 9):
+            for _ in range(50):
+                a = sample_complex_gaussian(M, rng, size=M)
+                ref = lu_solve(lu_factor(a), np.eye(M, dtype=complex))
+                np.testing.assert_array_equal(invert(a), ref)
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from fbmimo.errors import CapacityError, DomainError
-from fbmimo.numerics import LOG2E, RngStream, angle_sin2, sample_isotropic_unit
+from fbmimo.numerics import (LOG2E, RngStream, angle_sin2, sample_complex_gaussian,
+                             sample_isotropic_unit)
 from fbmimo.quantizer import (Codebook, error_ccdf, error_upper_bound, expected_error,
                               expected_neg_log2_error, expected_optimal_error,
                               generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
@@ -60,6 +61,18 @@ class TestQuantize:
             assert out.index == int(np.argmin(errors))
             np.testing.assert_allclose(out.error_z, min(errors), atol=1e-12)
 
+    def test_matches_matrix_product_search(self):
+        # reference: the BLAS matrix-vector product over the whole codebook
+        rng = RngStream(4, 0).generator()
+        for M in range(2, 9):
+            for _ in range(30):
+                cb = generate_codebook(M, 10, rng)
+                h = sample_complex_gaussian(M, rng)
+                cos2 = np.abs(cb.words @ h.conj()) ** 2 / np.real(np.vdot(h, h))
+                out = quantize(h, cb)
+                assert out.index == int(np.argmax(cos2))
+                assert abs(out.error_z - (1.0 - cos2.max())) <= 1e-15
+
     def test_scale_invariant(self):
         rng = RngStream(2, 0).generator()
         cb = generate_codebook(4, 4, rng)
@@ -91,7 +104,8 @@ class TestErrorCcdf:
         with pytest.raises(DomainError):
             error_ccdf(1.1, 3, 5)
 
-    @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=20),
+    @given(st.integers(min_value=2, max_value=8),
+           st.one_of(st.integers(min_value=0, max_value=20), st.sampled_from([1023, 1024, 2000])),
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100, deadline=None)
     def test_is_a_valid_ccdf(self, M, B, z):
@@ -148,10 +162,13 @@ class TestNegLog2Error:
 
     def test_sandwich_bounds(self):
         for M in (2, 3, 4, 6, 8):
-            for B in (0, 1, 4, 10, 20, 30):
+            vals = []
+            for B in (0, 1, 4, 10, 20, 30, 1023, 1024, 2000):
                 lo, hi = neg_log2_error_bounds(M, B)
                 v = expected_neg_log2_error(M, B)
-                assert lo <= v <= hi
+                assert math.isfinite(v) and lo <= v <= hi
+                vals.append(v)
+            assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_example_value(self):
         v = expected_neg_log2_error(3, 4)
