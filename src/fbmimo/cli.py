@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ExperimentSpec:
     csit: str = "quantized"
     precoder: str = ZF
     scaling: str = "fixed"
-    B: int | str | None = None
+    B: str | None = None
     b_gap: float | None = None
     alpha: float | None = None
     path: str | None = None
@@ -91,59 +91,18 @@ def parse_bit_range(value) -> list[int]:
         raise ConfigError(f"B must be an integer or lo..hi range, got {text!r}") from None
 
 
-def _load_config(text: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+def _load_config(path: str | None) -> dict:
+    """The JSON object in the config file at path; {} without a file."""
+    if not path:
+        return {}
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
-
-
-def parse_config(text: str) -> ExperimentSpec:
-    """Build a spec from JSON text; unknown keys are rejected by name."""
-    return build_spec(_load_config(text), {})
-
-
-def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
-    """Merge config-file values with CLI flags (flags win) and validate."""
-    allowed = {f.name for f in fields(ExperimentSpec)}
-    for key in file_values:
-        if key not in allowed:
-            raise ConfigError(f"unknown config field {key!r}")
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    if "command" not in merged or not merged["command"]:
-        raise ConfigError("missing required field 'command'")
-    spec = ExperimentSpec(**merged)
-    _validate_spec(spec)
-    return spec
-
-
-def _validate_spec(spec: ExperimentSpec) -> None:
-    if spec.command not in ("sweep", "figure", "table", "validate"):
-        raise ConfigError(f"unknown command {spec.command!r}")
-    if spec.command == "figure":
-        if not spec.figure_id:
-            raise ConfigError("command 'figure' requires field 'figure_id'")
-        if spec.figure_id not in FIGURE_IDS:
-            raise ConfigError(
-                f"unknown figure_id {spec.figure_id!r}; expected one of {', '.join(FIGURE_IDS)}")
-    elif spec.figure_id is not None:
-        raise ConfigError("field 'figure_id' is only valid with command 'figure'")
-    if spec.command == "table" and spec.table_kind not in ("quantizer",):
-        raise ConfigError(f"unknown table_kind {spec.table_kind!r}; expected 'quantizer'")
-    if spec.command == "validate" and spec.validate_target not in ("bounds",):
-        raise ConfigError(f"unknown validate_target {spec.validate_target!r}; expected 'bounds'")
-    if not isinstance(spec.trials, int) or spec.trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {spec.trials!r}")
-    if not isinstance(spec.seed, int):
-        raise ConfigError(f"seed must be an integer, got {spec.seed!r}")
-    if spec.path is not None and spec.path not in _PATH_ALIASES:
-        raise ConfigError(f"path must be one of {sorted(_PATH_ALIASES)}, got {spec.path!r}")
-    if spec.snr is not None:
-        parse_snr_grid(spec.snr)
 
 
 def _analytic_curve(label: str, grid: tuple, M: int, values, seed: int,
@@ -287,34 +246,31 @@ def _run_figure(spec: ExperimentSpec) -> int:
     return 0
 
 
+# --scaling -> (the field holding its parameter, ScalingPolicy constructor)
+_SCALINGS = {
+    "fixed": ("B", ScalingPolicy.fixed),
+    "exact": ("b_gap", ScalingPolicy.exact_scaled),
+    "approx3": ("b_gap", ScalingPolicy.approx_3db),
+    "alpha": ("alpha", ScalingPolicy.alpha_scaled),
+}
+
+
 def _sweep_policy(spec: ExperimentSpec) -> ScalingPolicy | None:
     if spec.csit == "perfect":
         return None
-    if spec.scaling == "fixed":
-        if spec.B is None:
-            raise ConfigError("fixed scaling requires field 'B'")
-        bits = parse_bit_range(spec.B)
+    field, make = _SCALINGS[spec.scaling]
+    value = getattr(spec, field)
+    if value is None:
+        raise ConfigError(f"{spec.scaling} scaling requires field {field!r}")
+    if field == "B":
+        bits = parse_bit_range(value)
         if len(bits) != 1:
             raise ConfigError("sweep takes a single B value, not a range")
-        return ScalingPolicy.fixed(bits[0])
-    if spec.scaling == "exact":
-        if spec.b_gap is None:
-            raise ConfigError("exact scaling requires field 'b_gap'")
-        return ScalingPolicy.exact_scaled(spec.b_gap)
-    if spec.scaling == "approx3":
-        if spec.b_gap is None:
-            raise ConfigError("approx3 scaling requires field 'b_gap'")
-        return ScalingPolicy.approx_3db(spec.b_gap)
-    if spec.scaling == "alpha":
-        if spec.alpha is None:
-            raise ConfigError("alpha scaling requires field 'alpha'")
-        return ScalingPolicy.alpha_scaled(spec.alpha)
-    raise ConfigError(f"unknown scaling {spec.scaling!r}")
+        value = bits[0]
+    return make(value)
 
 
 def _run_sweep(spec: ExperimentSpec) -> int:
-    if spec.engine not in _ENGINES:
-        raise ConfigError(f"unknown engine {spec.engine!r}")
     policy = _sweep_policy(spec) if spec.engine in ("mu", "miso") else None
     curve = _run_curve(spec, _Curve(spec.engine, policy=policy, precoder=spec.precoder), spec.M,
                        parse_snr_grid(spec.snr or "0:5:40"), spec.K)
@@ -337,9 +293,12 @@ def _run_table(spec: ExperimentSpec) -> int:
     return 0
 
 
+def _verdict(check: str, passed, detail: str) -> bool:
+    print(f"{check}: {'PASS' if passed else 'FAIL'} ({detail})")
+    return bool(passed)
+
+
 def _run_validate(spec: ExperimentSpec) -> int:
-    trials = spec.trials
-    seed = spec.seed
     ok = True
 
     # rate-gap bound dominance over the (M, B, SNR) grid
@@ -350,7 +309,7 @@ def _run_validate(spec: ExperimentSpec) -> int:
     for M in (3, 4, 5, 6):
         for B in (4, 8, 12):
             cfg = sim.SimConfig(M=M, K=M, snr_grid_db=grid, policy=ScalingPolicy.fixed(B),
-                                path=sim.FAST_DECOMPOSITION, trials=trials, seed=seed)
+                                path=sim.FAST_DECOMPOSITION, trials=spec.trials, seed=spec.seed)
             gap = sim.rate_gap(cfg)
             for snr, dr, se in zip(gap.snr_db, gap.mean_bps_hz, gap.std_err):
                 bound = bd.rate_gap_bound(10.0 ** (snr / 10.0), M, B)
@@ -359,29 +318,21 @@ def _run_validate(spec: ExperimentSpec) -> int:
                 worst = max(worst, slack)
                 if slack > 0.0:
                     violations += 1
-    line_ok = violations == 0
-    ok &= line_ok
-    print(f"rate_gap_dominance: {'PASS' if line_ok else 'FAIL'} "
-          f"({points - violations}/{points} points, worst slack {worst:+.4f})")
+    ok &= _verdict("rate_gap_dominance", violations == 0,
+                   f"{points - violations}/{points} points, worst slack {worst:+.4f}")
 
     # fixed-B ceiling at high SNR
-    cfg = sim.SimConfig(M=5, K=5, snr_grid_db=(40.0,), policy=ScalingPolicy.fixed(10),
-                        path=sim.FAST_DECOMPOSITION, trials=trials, seed=seed)
-    curve = sim.mu_throughput(cfg)
+    curve = _run_curve(spec, _Curve("mu", policy=ScalingPolicy.fixed(10)), 5, (40.0,))
     _, exact = bd.ceiling_fixed_B(5, 10)
-    line_ok = bool(curve.mean_bps_hz[0] <= exact)
-    ok &= line_ok
-    print(f"fixed_bits_ceiling: {'PASS' if line_ok else 'FAIL'} "
-          f"(throughput {curve.mean_bps_hz[0]:.2f} <= ceiling {exact:.2f})")
+    ok &= _verdict("fixed_bits_ceiling", curve.mean_bps_hz[0] <= exact,
+                   f"throughput {curve.mean_bps_hz[0]:.2f} <= ceiling {exact:.2f}")
 
     # scaled feedback keeps the per-user gap under log2(b_gap)
     cfg = sim.SimConfig(M=5, K=5, snr_grid_db=grid, policy=ScalingPolicy.exact_scaled(2.0),
-                        path=sim.FAST_DECOMPOSITION, trials=trials, seed=seed)
+                        path=sim.FAST_DECOMPOSITION, trials=spec.trials, seed=spec.seed)
     gap = sim.rate_gap(cfg)
-    line_ok = bool(np.all(gap.mean_bps_hz < 1.0))
-    ok &= line_ok
-    print(f"scaled_bits_gap: {'PASS' if line_ok else 'FAIL'} "
-          f"(max per-user gap {gap.mean_bps_hz.max():.3f} < 1.0)")
+    ok &= _verdict("scaled_bits_gap", np.all(gap.mean_bps_hz < 1.0),
+                   f"max per-user gap {gap.mean_bps_hz.max():.3f} < 1.0")
 
     # multiplexing gain follows the alpha prediction; the 20 dB fit window
     # sits at 40-60 dB because at 20-40 dB the alpha=1.5 slope is still
@@ -390,15 +341,13 @@ def _run_validate(spec: ExperimentSpec) -> int:
     details = []
     for frac in (0.5, 1.3):
         alpha = frac * 3.0
-        cfg = sim.SimConfig(M=4, K=4, snr_grid_db=parse_snr_grid("0:5:60"),
-                            policy=ScalingPolicy.alpha_scaled(alpha),
-                            path=sim.FAST_DECOMPOSITION, trials=trials, seed=seed)
-        slope = bd.fit_multiplexing_gain(sim.mu_throughput(cfg))
+        curve = _run_curve(spec, _Curve("mu", policy=ScalingPolicy.alpha_scaled(alpha)), 4,
+                           parse_snr_grid("0:5:60"))
+        slope = bd.fit_multiplexing_gain(curve)
         predicted = bd.mux_gain_prediction(alpha, 4)
         details.append(f"alpha={alpha:g}: slope {slope:.2f} vs {predicted:g}")
         line_ok &= abs(slope - predicted) <= 0.3
-    ok &= line_ok
-    print(f"multiplexing_gain: {'PASS' if line_ok else 'FAIL'} ({'; '.join(details)})")
+    ok &= _verdict("multiplexing_gain", line_ok, "; ".join(details))
 
     return 0 if ok else 1
 
@@ -424,13 +373,83 @@ def run(spec: ExperimentSpec) -> int:
         return 4
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per SNR point")
-    p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--out", help="output CSV path ('-' for stdout)")
-    p.add_argument("--snr", help="SNR grid as lo:step:hi in dB")
-    p.add_argument("--path", choices=sorted(_PATH_ALIASES), help="quantization path")
+# field -> add_argument keywords: a command's positional, or the option
+# --name with '_' written '-'
+_OPTIONS = {
+    "figure_id": dict(choices=FIGURE_IDS),
+    "table_kind": dict(choices=("quantizer",)),
+    "validate_target": dict(choices=("bounds",)),
+    "trials": dict(type=int, help="Monte Carlo trials per SNR point"),
+    "seed": dict(type=int, help="base random seed"),
+    "out": dict(help="output CSV path ('-' for stdout)"),
+    "snr": dict(help="SNR grid as lo:step:hi in dB"),
+    "path": dict(choices=sorted(_PATH_ALIASES), help="quantization path"),
+    "engine": dict(choices=tuple(_ENGINES), help="simulation engine"),
+    "M": dict(type=int, help="transmit antennas"),
+    "K": dict(type=int, help="users (default M, or 1 for miso)"),
+    "csit": dict(choices=("perfect", "quantized"), help="transmitter channel knowledge"),
+    "precoder": dict(choices=(ZF, RZF), help="multiuser precoder"),
+    "scaling": dict(choices=tuple(_SCALINGS), help="feedback bit policy"),
+    "B": dict(help="feedback bits (table: N or lo..hi)"),
+    "b_gap": dict(type=float, help="per-user rate gap log2(b_gap) of exact/approx3 scaling"),
+    "alpha": dict(type=float, help="bits per log2 of SNR under alpha scaling"),
+}
+
+_RUN_OPTIONS = ("trials", "seed", "out", "snr", "path")
+
+# command -> (positional field or None, the options it reads, help)
+_COMMANDS = {
+    "figure": ("figure_id", _RUN_OPTIONS, "run a named experiment preset"),
+    "sweep": (None, _RUN_OPTIONS + ("engine", "M", "K", "csit", "precoder", "scaling", "B",
+                                    "b_gap", "alpha"), "run a single configurable curve"),
+    "table": ("table_kind", ("out", "M", "B"), "tabulate closed-form quantizer statistics"),
+    "validate": ("validate_target", ("trials", "seed"), "check analytic bounds against simulation"),
+}
+
+
+def _convert(field: str, value, option: dict):
+    text = str(value)
+    try:
+        value = option.get("type", str)(text)
+    except ValueError:
+        raise ConfigError(f"field {field!r} has invalid value {text!r}") from None
+    if "choices" in option and value not in option["choices"]:
+        raise ConfigError(f"{field} {text!r} is not one of {', '.join(option['choices'])}")
+    return value
+
+
+def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
+    """Merge config-file values with CLI flags (flags win) and validate.
+
+    A config entry "k": v means what the flag --k v means for the command:
+    str(v) is parsed by the flag's type and checked against its choices, a
+    field the command does not read is an error, and null means unset.
+    """
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    command = flags.get("command", file_values.get("command"))
+    if command is None:
+        raise ConfigError("missing required field 'command'")
+    command = str(command)
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    positional, options, _ = _COMMANDS[command]
+    values = {"command": command}
+    for key, value in file_values.items():
+        if key == "command" or value is None:
+            continue
+        if key not in options and key != positional:
+            raise ConfigError(f"command {command!r} does not read config field {key!r}")
+        values[key] = _convert(key, value, _OPTIONS[key])
+    values.update(flags)
+    if positional and positional not in values:
+        raise ConfigError(f"command {command!r} requires field {positional!r}")
+    spec = ExperimentSpec(**values)
+    # the two checks a flag's type and choices cannot express
+    if spec.trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {spec.trials}")
+    if spec.snr is not None:
+        parse_snr_grid(spec.snr)
+    return spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,53 +457,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fbmimo",
         description="Throughput experiments for quantized-feedback multiuser MIMO downlinks")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_fig = subs.add_parser("figure", help="run a named experiment preset")
-    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
-    _add_common_flags(p_fig)
-
-    p_sweep = subs.add_parser("sweep", help="run a single configurable curve")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--engine", choices=("mu", "miso", "tdma", "random_bf"), default=None)
-    p_sweep.add_argument("--M", type=int, dest="M")
-    p_sweep.add_argument("--K", type=int, dest="K")
-    p_sweep.add_argument("--csit", choices=("perfect", "quantized"))
-    p_sweep.add_argument("--precoder", choices=(ZF, RZF))
-    p_sweep.add_argument("--scaling", choices=("fixed", "exact", "approx3", "alpha"))
-    p_sweep.add_argument("--B", dest="B")
-    p_sweep.add_argument("--b-gap", type=float, dest="b_gap")
-    p_sweep.add_argument("--alpha", type=float, dest="alpha")
-
-    p_table = subs.add_parser("table", help="tabulate closed-form quantizer statistics")
-    p_table.add_argument("table_kind", choices=("quantizer",))
-    _add_common_flags(p_table)
-    p_table.add_argument("--M", type=int, dest="M")
-    p_table.add_argument("--B", dest="B", help="bit count or lo..hi range")
-
-    p_val = subs.add_parser("validate", help="check analytic bounds against simulation")
-    p_val.add_argument("validate_target", choices=("bounds",))
-    _add_common_flags(p_val)
-
+    for name, (positional, options, help_text) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        if positional:
+            p.add_argument(positional, **_OPTIONS[positional])
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key in options:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    config_path = args.pop("config", None)
-    file_values: dict = {}
     try:
-        if config_path:
-            try:
-                with open(config_path) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"i/o error: {exc}", file=sys.stderr)
-                return 3
-            file_values = _load_config(text)
-        spec = build_spec(file_values, {k: v for k, v in args.items() if v is not None})
+        spec = build_spec(_load_config(args.pop("config")), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
     return run(spec)
 
 

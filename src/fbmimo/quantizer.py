@@ -164,14 +164,19 @@ def sample_error(M: int, B: float, rng: np.random.Generator, size: int | None = 
     """Draw Z by inverting the CCDF: Z = (1 - U^(2^-B))^(1/(M-1)).
 
     The inner factor is computed as -expm1(2^-B * ln U), which keeps
-    precision when B is large and U^(2^-B) approaches 1.
+    precision when B is large and U^(2^-B) approaches 1.  Past B = 900 that
+    product can leave the normal range and Z underflow to 0, so there
+    ln Z = (ln(-ln U) - B ln 2)/(M-1) is drawn instead; U = 0 gives Z = 1.
     """
     _check_m(M)
     _check_bits(B)
     u = rng.random(size)
     with np.errstate(divide="ignore"):
-        inner = -np.expm1((2.0 ** (-B)) * np.log(u))
-    z = inner ** (1.0 / (M - 1.0))
+        if B > 900.0:
+            z = np.exp(np.minimum((np.log(-np.log(u)) - B * _LN2) / (M - 1.0), 0.0))
+        else:
+            inner = -np.expm1((2.0 ** (-B)) * np.log(u))
+            z = inner ** (1.0 / (M - 1.0))
     return float(z) if size is None else z
 
 

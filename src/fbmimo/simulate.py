@@ -81,32 +81,35 @@ def map_trials(n_trials: int, seed: int, width: int, fn) -> np.ndarray:
     return out
 
 
-def _resolve_bits(cfg: SimConfig, snr_db: float) -> tuple[float, int | None]:
-    """Real-valued bits at this point, plus the integer count for brute force."""
+def _codebook_bits(B: float) -> float:
+    """B rounded up to a whole codebook, with 1e-9 of slack for rounding noise."""
+    return float(math.ceil(B - 1e-9))
+
+
+def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
+    """Feedback bits at this point: the policy's real-valued count, rounded
+    up to a whole codebook on the brute path, NaN under perfect CSIT."""
     if cfg.csit == "perfect":
-        return math.nan, None
-    b_real = cfg.policy.bits(snr_db, cfg.M)
-    if cfg.path != BRUTE_FORCE:
-        return b_real, None
-    b_int = int(math.ceil(b_real - 1e-9))
-    if b_int > MAX_CODEBOOK_BITS:
+        return math.nan
+    B = cfg.policy.bits(snr_db, cfg.M)
+    if cfg.path == BRUTE_FORCE and _codebook_bits(B) > MAX_CODEBOOK_BITS:
         raise CapacityError(
-            f"brute_force needs B <= {MAX_CODEBOOK_BITS}, policy asks for {b_real:.2f} "
+            f"brute_force needs B <= {MAX_CODEBOOK_BITS}, policy asks for {B:.2f} "
             f"bits at {snr_db} dB; use the fast_decomposition path")
-    return float(b_int), b_int
+    return _codebook_bits(B) if cfg.path == BRUTE_FORCE else B
 
 
-def _draw_quantized(gen: np.random.Generator, M: int, K: int, b_int: int | None,
-                    b_real: float, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _draw_quantized(gen: np.random.Generator, M: int, K: int, B: float,
+                    path: str) -> tuple[np.ndarray, np.ndarray]:
     """Channel rows H (K, M) and quantized unit directions (K, M)."""
     if path == BRUTE_FORCE:
         H = sample_complex_gaussian(M, gen, size=K)
         h_hat = np.empty((K, M), dtype=complex)
         for i in range(K):
-            cb = generate_codebook(M, b_int, gen)
+            cb = generate_codebook(M, B, gen)
             h_hat[i] = quantize(H[i], cb).h_hat
         return H, h_hat
-    h_dir, h_hat, z = sample_quantized_pair(M, b_real, gen, size=K)
+    h_dir, h_hat, z = sample_quantized_pair(M, B, gen, size=K)
     mag2 = gen.gamma(M, 1.0, size=K)
     return np.sqrt(mag2)[:, None] * h_dir, h_hat
 
@@ -139,43 +142,43 @@ def _resampled(attempt) -> tuple:
     raise ResampleLimitError(f"exceeded {_MAX_RESAMPLES} singular-channel resamples in one trial")
 
 
-def _mu_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+def _mu_trial(gen, cfg: SimConfig, P: float, B: float) -> float:
     if cfg.csit == "perfect":
         H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
         G = H.conj()
     else:
-        H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
+        H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, B, cfg.path)
         G = h_hat.conj()
     return _sum_rate(H, _beamformers(G, cfg.precoder, P), P)
 
 
-def _gap_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+def _gap_trial(gen, cfg: SimConfig, P: float, B: float) -> float:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
-    H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, b_int, b_real, cfg.path)
+    H, h_hat = _draw_quantized(gen, cfg.M, cfg.K, B, cfg.path)
     beams_perfect = _beamformers(H.conj(), cfg.precoder, P)
     beams_fb = _beamformers(h_hat.conj(), cfg.precoder, P)
     return (_sum_rate(H, beams_perfect, P) - _sum_rate(H, beams_fb, P)) / cfg.M
 
 
-def _miso_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+def _miso_trial(gen, cfg: SimConfig, P: float, B: float) -> float:
     if cfg.path == BRUTE_FORCE:
         h = sample_complex_gaussian(cfg.M, gen)
-        cb = generate_codebook(cfg.M, b_int, gen)
+        cb = generate_codebook(cfg.M, B, gen)
         z = quantize(h, cb).error_z
         mag2 = float(np.real(np.vdot(h, h)))
     else:
-        z = sample_quantized_pair(cfg.M, b_real, gen)[2]
+        z = sample_quantized_pair(cfg.M, B, gen)[2]
         mag2 = float(gen.gamma(cfg.M, 1.0))
     return math.log2(1.0 + P * mag2 * (1.0 - z))
 
 
-def _tdma_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+def _tdma_trial(gen, cfg: SimConfig, P: float, B: float) -> float:
     H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
     best = float(np.max(np.sum(np.abs(H) ** 2, axis=1)))
     return math.log2(1.0 + P * best)
 
 
-def _random_bf_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | None) -> float:
+def _random_bf_trial(gen, cfg: SimConfig, P: float, B: float) -> float:
     H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
     beams = haar_unitary(cfg.M, gen)
     gains = np.abs(H.conj() @ beams) ** 2
@@ -195,7 +198,7 @@ def _random_bf_trial(gen, cfg: SimConfig, P: float, b_real: float, b_int: int | 
 
 def _curve(cfg: SimConfig, label: str, trial, policy: str | None = None,
            precoder: str | None = None, feedback: bool = True) -> ThroughputCurve:
-    """Sweep the SNR grid and average trial(gen, cfg, P, b_real, b_int).
+    """Sweep the SNR grid and average trial(gen, cfg, P, B).
 
     Every trial retries its draw while the beamformer build is singular and
     the discarded draws are counted per point.  Curves with feedback=False
@@ -204,13 +207,13 @@ def _curve(cfg: SimConfig, label: str, trial, policy: str | None = None,
     means, errs, bits, resamples = [], [], [], []
     for snr_db in cfg.snr_grid_db:
         P = 10.0 ** (snr_db / 10.0)
-        b_real, b_int = _resolve_bits(cfg, snr_db) if feedback else (math.nan, None)
+        B = _resolve_bits(cfg, snr_db) if feedback else math.nan
         vals = map_trials(cfg.trials, cfg.seed, 2,
-                          lambda gen: _resampled(lambda: trial(gen, cfg, P, b_real, b_int)))
+                          lambda gen: _resampled(lambda: trial(gen, cfg, P, B)))
         rates = vals[:, 0]
         means.append(float(rates.mean()))
         errs.append(float(rates.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0)
-        bits.append(b_real)
+        bits.append(B)
         resamples.append(int(vals[:, 1].sum()))
     if policy is None:
         policy = "perfect" if cfg.csit == "perfect" else cfg.policy.describe()
@@ -279,11 +282,11 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
     signal gain |h_dir_0^H v_0|^2, one cross gain |h_dir_1^H v_0|^2, and
     user 1's quantization error, plus the singular-resample count.
     """
-    b_int = int(math.ceil(B - 1e-9)) if path == BRUTE_FORCE else None
+    B = _codebook_bits(B) if path == BRUTE_FORCE else float(B)
 
     def trial(gen):
         def attempt():
-            H, h_hat = _draw_quantized(gen, M, M, b_int, float(B), path)
+            H, h_hat = _draw_quantized(gen, M, M, B, path)
             return H, h_hat, zf_beamformers(h_hat.conj())
 
         (H, h_hat, beams), resamples = _resampled(attempt)

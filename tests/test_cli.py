@@ -9,7 +9,7 @@ import pytest
 
 from fbmimo.bounds import ScalingPolicy
 from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, main,
-                        parse_bit_range, parse_config, parse_snr_grid)
+                        parse_bit_range, parse_snr_grid)
 from fbmimo.errors import ConfigError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
 from fbmimo.simulate import FAST_DECOMPOSITION, SimConfig, mu_throughput
@@ -54,29 +54,53 @@ class TestParseBitRange:
 
 class TestConfigMerging:
     def test_parse_config_valid(self):
-        spec = parse_config(json.dumps({"command": "sweep", "M": 3, "csit": "perfect",
-                                        "trials": 50}))
+        spec = build_spec(json.loads('{"command": "sweep", "M": 3, "csit": "perfect", '
+                                     '"trials": 50}'), {})
         assert (spec.command, spec.M, spec.csit, spec.trials) == ("sweep", 3, "perfect", 50)
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="antennas"):
-            parse_config(json.dumps({"command": "sweep", "antennas": 4}))
+            build_spec(json.loads('{"command": "sweep", "antennas": 4}'), {})
 
-    def test_non_object_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(json.dumps(["sweep"]))
-        with pytest.raises(ConfigError):
-            parse_config("{not json")
+    def test_non_object_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        for text in (json.dumps(["sweep"]), "{not json"):
+            p.write_text(text)
+            assert main(["sweep", "--config", str(p)]) == 2
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config(json.dumps({"command": "sweep", "trials": 0}))
+            build_spec(json.loads('{"command": "sweep", "trials": 0}'), {})
         with pytest.raises(ConfigError):
-            parse_config(json.dumps({"M": 4}))  # no command
+            build_spec(json.loads('{"M": 4}'), {})  # no command
         with pytest.raises(ConfigError):
-            parse_config(json.dumps({"command": "sweep", "path": "magic"}))
+            build_spec(json.loads('{"command": "sweep", "path": "magic"}'), {})
         with pytest.raises(ConfigError):
-            parse_config(json.dumps({"command": "sweep", "snr": "10:5:0"}))
+            build_spec(json.loads('{"command": "sweep", "snr": "10:5:0"}'), {})
+
+    def test_config_entry_means_the_flag(self):
+        # "k": v in a file is --k v: parsed from str(v) by the flag's own type
+        flags = {"command": "table", "table_kind": "quantizer", "M": 4, "B": "3"}
+        assert build_spec({"command": "table", "table_kind": "quantizer", "M": "4", "B": 3},
+                          {}) == build_spec({}, flags)
+        assert build_spec({"command": "table", "M": None, "B": 3},
+                          {"table_kind": "quantizer"}).M == 4  # null means unset
+
+    @pytest.mark.parametrize("bad", [{"M": "x"}, {"M": 4.5}, {"b_gap": "x"}, {"snr": 5},
+                                     {"trials": True}, {"engine": "magic"}])
+    def test_ill_typed_value_is_exit_2(self, bad, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"command": "sweep", "csit": "perfect", "M": 2, "trials": 2,
+                                 "snr": "0:5:0", "out": "-", **bad}))
+        assert main(["sweep", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_field_the_command_does_not_read_is_named(self, tmp_path, capsys):
+        p = tmp_path / "fig.json"
+        p.write_text(json.dumps({"command": "figure", "figure_id": "fixed5x5", "M": 8}))
+        assert main(["figure", "fixed5x5", "--config", str(p), "--trials", "2"]) == 2
+        assert "'M'" in capsys.readouterr().err
 
     def test_flags_override_file(self):
         spec = build_spec({"command": "sweep", "trials": 100, "seed": 9},
@@ -99,6 +123,34 @@ class TestConfigMerging:
             build_spec({"command": "table", "table_kind": "mystery"}, {})
         with pytest.raises(ConfigError):
             build_spec({"command": "validate", "validate_target": "everything"}, {})
+
+
+RUN_FLAGS = {"--config", "--trials", "--seed", "--out", "--snr", "--path"}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv, flags", [
+        ("figure fixed5x5", RUN_FLAGS),
+        ("sweep", RUN_FLAGS | {"--engine", "--M", "--K", "--csit", "--precoder", "--scaling",
+                               "--B", "--b-gap", "--alpha"}),
+        ("table quantizer", {"--config", "--out", "--M", "--B"}),
+        ("validate bounds", {"--config", "--trials", "--seed"}),
+    ])
+    def test_help_lists_exactly_the_options_read(self, argv, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split() + ["--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(--[A-Za-z][\w-]*)", capsys.readouterr().out)) - {"--help"}
+        assert listed == flags
+
+    @pytest.mark.parametrize("argv", [["table", "quantizer", "--M", "4", "--B", "3",
+                                       "--trials", "5"],
+                                      ["validate", "bounds", "--trials", "5", "--path", "brute"]])
+    def test_flag_the_command_ignores_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTableCommand:
@@ -252,6 +304,8 @@ class TestExitCodes:
     def test_config_file_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{broken")
+        assert main(["sweep", "--config", str(p)]) == 2
+        p.write_bytes(b"\xff\xfe{")  # not UTF-8
         assert main(["sweep", "--config", str(p)]) == 2
 
     def test_config_file_unknown_key(self, tmp_path):

@@ -148,6 +148,17 @@ class TestExpectedError:
         v = expected_error(4, 600.0)
         assert 0.0 <= v < 1e-55
 
+    @given(st.integers(min_value=2, max_value=16), st.floats(min_value=0.0, max_value=1000.0),
+           st.floats(min_value=0.0, max_value=1000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_sandwiched_and_non_increasing_over_real_bits(self, M, b1, b2):
+        lo, hi = sorted((b1, b2))
+        e = expected_error(M, lo)
+        assert expected_optimal_error(M, lo) <= e * (1.0 + 1e-12)
+        assert e <= error_upper_bound(M, lo) * (1.0 + 1e-12)
+        # at adjacent floats rounding alone moves the value by ~1e-14
+        assert expected_error(M, hi) <= e * (1.0 + 1e-12)
+
 
 class TestNegLog2Error:
     def test_base_case(self):
@@ -198,6 +209,22 @@ class TestSampleError:
     def test_in_unit_interval(self):
         z = sample_error(2, 0, RngStream(6, 0).generator(), size=1000)
         assert np.all((z >= 0.0) & (z <= 1.0))
+
+    @pytest.mark.parametrize("M", [3, 4, 8])
+    @pytest.mark.parametrize("B", [901.0, 1100.0, 2000.0])
+    def test_no_underflow_past_b_900(self, M, B):
+        z = sample_error(M, B, RngStream(14, M).generator(), size=100_000)
+        assert np.all((z > 0.0) & np.isfinite(z))
+        ratio = z / expected_error(M, B)
+        assert abs(ratio.mean() - 1.0) < 4.0 * ratio.std(ddof=1) / math.sqrt(len(z))
+
+    @pytest.mark.parametrize("B", [6.0, 1100.0])
+    def test_zero_uniform_draw_gives_one(self, B):
+        class ZeroUniform:
+            def random(self, size):
+                return np.zeros(size)
+
+        assert np.all(sample_error(4, B, ZeroUniform(), size=3) == 1.0)
 
 
 class TestSampleQuantizedPair:
