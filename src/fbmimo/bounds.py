@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .errors import DomainError, InsufficientDataError
 from .numerics import LOG2E, LOG2_10
@@ -50,13 +49,14 @@ class ScalingPolicy:
             if self.b_gap is not None or self.alpha is not None:
                 raise DomainError("fixed_B policy takes only B_fixed")
         elif self.kind in (EXACT_SCALED, APPROX_3DB_SCALED):
-            if self.b_gap is None or self.b_gap <= 1.0:
-                raise DomainError("scaled policies need b_gap > 1")
+            if self.b_gap is None or not math.isfinite(self.b_gap) or self.b_gap <= 1.0:
+                raise DomainError(f"scaled policies need a finite b_gap > 1, got {self.b_gap}")
             if self.B_fixed is not None or self.alpha is not None:
                 raise DomainError(f"{self.kind} policy takes only b_gap")
         else:
-            if self.alpha is None or self.alpha < 0.0:
-                raise DomainError("alpha_scaled policy needs alpha >= 0")
+            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha < 0.0:
+                raise DomainError(
+                    f"alpha_scaled policy needs a finite alpha >= 0, got {self.alpha}")
             if self.B_fixed is not None or self.b_gap is not None:
                 raise DomainError("alpha_scaled policy takes only alpha")
 
@@ -279,6 +279,7 @@ def _ergodic_rate(p_eff: float, M: int, n_nodes: int = 160) -> float:
     """E[log2(1 + p_eff * X)] for X ~ Gamma(M, 1), by generalized
     Gauss-Laguerre quadrature with weight x^(M-1) e^(-x)."""
     if M not in _QUAD_NODES:
+        from scipy.special import roots_genlaguerre  # scipy stays off the import path
         x, w = roots_genlaguerre(n_nodes, M - 1)
         _QUAD_NODES[M] = (x, w / math.gamma(M))
     x, w = _QUAD_NODES[M]

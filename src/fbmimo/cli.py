@@ -114,14 +114,19 @@ def _analytic_curve(label: str, grid: tuple, M: int, values, seed: int,
         policy="analytic", precoder="BF", seed=seed, b_bits=np.full(n, b_bits))
 
 
-# engine -> (fbmimo.simulate function name, default quantization path).  The
-# function is looked up on the module at call time, so a wrapper installed
-# there after import (perfbench/tracer.py does this) is the one that runs.
+# the sweep options that set up quantized feedback, which not every engine reads
+_FEEDBACK_OPTIONS = ("csit", "precoder", "scaling", "B", "b_gap", "alpha", "path")
+
+# engine -> (fbmimo.simulate function name, default quantization path, the
+# feedback options it reads).  The function is looked up on the module at
+# call time, so a wrapper installed there after import (perfbench/tracer.py
+# does this) is the one that runs.
 _ENGINES = {
-    "mu": ("mu_throughput", sim.FAST_DECOMPOSITION),
-    "miso": ("miso_feedback_throughput", sim.BRUTE_FORCE),
-    "tdma": ("tdma_throughput", sim.FAST_DECOMPOSITION),
-    "random_bf": ("random_bf_throughput", sim.FAST_DECOMPOSITION),
+    "mu": ("mu_throughput", sim.FAST_DECOMPOSITION, _FEEDBACK_OPTIONS),
+    "miso": ("miso_feedback_throughput", sim.BRUTE_FORCE,
+             ("csit", "scaling", "B", "b_gap", "alpha", "path")),
+    "tdma": ("tdma_throughput", sim.FAST_DECOMPOSITION, ()),
+    "random_bf": ("random_bf_throughput", sim.FAST_DECOMPOSITION, ()),
 }
 
 
@@ -138,7 +143,7 @@ class _Curve:
 
 def _run_curve(spec: ExperimentSpec, curve: _Curve, M: int, grid: tuple,
                K: int | None = None) -> ThroughputCurve:
-    name, default_path = _ENGINES[curve.engine]
+    name, default_path, _ = _ENGINES[curve.engine]
     if K is None:
         K = 1 if curve.engine == "miso" else M
     cfg = sim.SimConfig(M=M, K=K, snr_grid_db=grid, policy=curve.policy, precoder=curve.precoder,
@@ -271,7 +276,7 @@ def _sweep_policy(spec: ExperimentSpec) -> ScalingPolicy | None:
 
 
 def _run_sweep(spec: ExperimentSpec) -> int:
-    policy = _sweep_policy(spec) if spec.engine in ("mu", "miso") else None
+    policy = _sweep_policy(spec) if _ENGINES[spec.engine][2] else None
     curve = _run_curve(spec, _Curve(spec.engine, policy=policy, precoder=spec.precoder), spec.M,
                        parse_snr_grid(spec.snr or "0:5:40"), spec.K)
     _write_csv(spec.out, "sweep", CSV_COLUMNS, curves_to_rows("sweep", [curve]))
@@ -444,7 +449,13 @@ def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
     if positional and positional not in values:
         raise ConfigError(f"command {command!r} requires field {positional!r}")
     spec = ExperimentSpec(**values)
-    # the two checks a flag's type and choices cannot express
+    if command == "sweep":
+        reads = _ENGINES[spec.engine][2]
+        unread = [k for k in _FEEDBACK_OPTIONS if k in values and k not in reads]
+        if unread:
+            raise ConfigError(f"engine {spec.engine!r} does not read "
+                              + ", ".join("--" + k.replace("_", "-") for k in unread))
+    # the checks a flag's type and choices cannot express
     if spec.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {spec.trials}")
     if spec.snr is not None:

@@ -6,7 +6,15 @@ class DomainError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """A matrix is singular (or numerically indistinguishable from singular)."""
+    """A matrix is singular (or numerically indistinguishable from singular).
+
+    For a stack of matrices ``rows`` marks the singular ones; None means
+    the whole input.
+    """
+
+    def __init__(self, message: str, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class CapacityError(ValueError):

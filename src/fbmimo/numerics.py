@@ -8,6 +8,11 @@ Conventions used throughout the package:
   transmit vector as ``h_i^H x``.  Build one with ``np.conj(np.stack(...))``.
 * Entries of a standard complex Gaussian CN(0, 1) have real and imaginary
   parts that are independent N(0, 1/2), so E[|g|^2] = 1.
+* A sampler's ``rng`` is one generator or a list (or tuple) of them.  A
+  list stacks one draw per generator along a new leading axis: row t is
+  exactly what ``rng[t]`` alone would have returned, so a stack of trials
+  drawn at once keeps every trial's stream.  The linear algebra
+  below likewise maps over leading axes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import DomainError, SingularMatrixError
 
@@ -45,27 +49,55 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_complex_gaussian(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+def draw_rows(rng, draw) -> np.ndarray:
+    """draw(generator) for one generator, or for a list of generators the
+    stack whose row t is draw(rng[t])."""
+    if not isinstance(rng, (list, tuple)):
+        return np.asarray(draw(rng))
+    first = np.asarray(draw(rng[0]))
+    out = np.empty((len(rng), *first.shape), dtype=first.dtype)
+    out[0] = first
+    for t in range(1, len(rng)):
+        out[t] = draw(rng[t])
+    return out
+
+
+def redraw_streams(rng, bad: np.ndarray, values: np.ndarray, sample) -> np.ndarray:
+    """Replace values by sample(streams) for the streams with a flagged entry.
+
+    One generator redraws everything; for a list, row t of ``values`` is
+    redrawn from rng[t] when any entry of row t of ``bad`` is set.
+    """
+    if not isinstance(rng, (list, tuple)):
+        return sample(rng)
+    rows = np.flatnonzero(bad.reshape(len(rng), -1).any(axis=1))
+    values[rows] = sample([rng[t] for t in rows])
+    return values
+
+
+def sample_complex_gaussian(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Draw CN(0, 1) entries; shape ``(dim,)`` or ``(size, dim)``."""
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
     shape = (dim,) if size is None else (size, dim)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
+    # the real parts, then the imaginary parts, in one call per stream
+    parts = draw_rows(rng, lambda gen: gen.standard_normal((2, *shape)))
+    re, im = np.moveaxis(parts, -1 - len(shape), 0)
     return (re + 1j * im) * _SQRT_HALF
 
 
-def sample_isotropic_unit(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+def sample_isotropic_unit(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Draw unit vectors uniform on the complex sphere in C^dim."""
     v = sample_complex_gaussian(dim, rng, size)
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     while np.any(norms == 0.0):  # probability-zero guard
-        v = sample_complex_gaussian(dim, rng, size)
+        v = redraw_streams(rng, norms == 0.0, v,
+                           lambda streams: sample_complex_gaussian(dim, streams, size))
         norms = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / norms
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(dim: int, rng) -> np.ndarray:
     """Draw a Haar-distributed unitary via QR of an iid CN(0,1) matrix.
 
     Column phases are fixed by the sign of diag(R) so the distribution is
@@ -73,28 +105,38 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     g = sample_complex_gaussian(dim, rng, size=dim)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def near_singular(a: np.ndarray) -> np.ndarray:
+    """Per square matrix: is its smallest partial-pivot LU pivot at most
+    1e-12 * ||A||_F?  A boolean over the leading axes of ``a``."""
+    from scipy.linalg import lu_factor  # scipy stays off the import path
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
+        lu, _ = lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
+    return pivots <= 1e-12 * np.linalg.norm(a, axis=(-2, -1))
 
 
 def invert(a: np.ndarray) -> np.ndarray:
-    """Invert a square complex matrix by partial-pivot LU.
+    """Invert a square complex matrix, or a stack of them, by partial-pivot LU.
 
-    Raises SingularMatrixError when the smallest pivot falls below
-    1e-12 * ||A||_F, treating near-singular input as singular instead of
-    returning garbage.
+    Raises SingularMatrixError when near_singular() flags a matrix,
+    treating near-singular input as singular instead of returning garbage;
+    for a stack the error's ``rows`` marks the flagged matrices.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        lu, piv = lu_factor(a, check_finite=False)
-    scale = np.linalg.norm(a)
-    if np.min(np.abs(np.diagonal(lu))) <= 1e-12 * scale:
-        raise SingularMatrixError("matrix is singular to working precision")
-    # numpy's inverse gives the same bits as solving on scipy's factors
-    # above, without waking scipy's OpenBLAS thread pool on a tiny system
+    singular = near_singular(a)
+    if np.any(singular):
+        raise SingularMatrixError("matrix is singular to working precision",
+                                  rows=singular if a.ndim > 2 else None)
+    # numpy's inverse gives the same bits as solving on scipy's factors,
+    # without waking scipy's OpenBLAS thread pool on a tiny system
     return np.linalg.inv(a)
 
 

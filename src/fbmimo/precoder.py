@@ -2,7 +2,8 @@
 
 All functions take a row matrix ``G`` whose row ``i`` is the conjugated
 channel ``h_i^H`` (see numerics module conventions), so ``G @ v`` stacks the
-inner products ``h_i^H v``.
+inner products ``h_i^H v``.  The beamformers also take a stack of row
+matrices, shape (..., K, M), and return one beam matrix per entry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def zf_beamformers(G: np.ndarray) -> np.ndarray:
     """Normalized columns of G^-1, one unit-norm beam per user as an (M, K)
     matrix; beam j is orthogonal to every row i != j."""
     inv = invert(G)
-    return inv / np.linalg.norm(inv, axis=0)
+    return inv / np.linalg.norm(inv, axis=-2, keepdims=True)
 
 
 def rzf_beamformers(G: np.ndarray, P: float) -> np.ndarray:
@@ -32,10 +33,10 @@ def rzf_beamformers(G: np.ndarray, P: float) -> np.ndarray:
     G = np.asarray(G, dtype=complex)
     if P <= 0.0:
         raise DomainError(f"P must be > 0, got {P}")
-    M = G.shape[1]
-    gram = G @ G.conj().T + (M / P) * np.eye(G.shape[0], dtype=complex)
-    v = np.linalg.solve(gram, G).conj().T
-    return v / np.linalg.norm(v, axis=0)
+    K, M = G.shape[-2:]
+    gram = G @ np.swapaxes(G.conj(), -1, -2) + (M / P) * np.eye(K, dtype=complex)
+    v = np.swapaxes(np.linalg.solve(gram, G).conj(), -1, -2)
+    return v / np.linalg.norm(v, axis=-2, keepdims=True)
 
 
 def sinr(h: np.ndarray, beams: np.ndarray, i: int, P: float) -> float:

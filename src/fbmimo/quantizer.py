@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import CapacityError, DomainError
-from .numerics import LOG2E, ln_gamma, sample_complex_gaussian, sample_isotropic_unit
+from .numerics import (LOG2E, draw_rows, ln_gamma, redraw_streams, sample_complex_gaussian,
+                       sample_isotropic_unit)
 
 MAX_CODEBOOK_BITS = 30
 
@@ -149,6 +149,7 @@ def expected_neg_log2_error(M: int, B: float) -> float:
     if B > 500.0:
         harmonic = B * _LN2 + np.euler_gamma
     else:
+        from scipy.special import digamma  # scipy stays off the import path
         harmonic = float(digamma(2.0 ** B + 1.0)) + np.euler_gamma
     return LOG2E * harmonic / (M - 1.0)
 
@@ -160,7 +161,7 @@ def neg_log2_error_bounds(M: int, B: float) -> tuple[float, float]:
     return B / (M - 1.0), (B + LOG2E) / (M - 1.0)
 
 
-def sample_error(M: int, B: float, rng: np.random.Generator, size: int | None = None):
+def sample_error(M: int, B: float, rng, size: int | None = None):
     """Draw Z by inverting the CCDF: Z = (1 - U^(2^-B))^(1/(M-1)).
 
     The inner factor is computed as -expm1(2^-B * ln U), which keeps
@@ -170,41 +171,46 @@ def sample_error(M: int, B: float, rng: np.random.Generator, size: int | None = 
     """
     _check_m(M)
     _check_bits(B)
-    u = rng.random(size)
+    u = draw_rows(rng, lambda gen: gen.random(size))
     with np.errstate(divide="ignore"):
         if B > 900.0:
             z = np.exp(np.minimum((np.log(-np.log(u)) - B * _LN2) / (M - 1.0), 0.0))
         else:
             inner = -np.expm1((2.0 ** (-B)) * np.log(u))
             z = inner ** (1.0 / (M - 1.0))
-    return float(z) if size is None else z
+    return float(z) if z.ndim == 0 else z
 
 
-def sample_quantized_pair(M: int, B: float, rng: np.random.Generator, size: int | None = None):
+def sample_quantized_pair(M: int, B: float, rng, size: int | None = None):
     """Draw (h_dir, h_hat, z) with the same joint law as quantizing an
     isotropic direction against a fresh random codebook.
 
     Returns arrays of shape ``(size, M)`` (or single vectors when ``size``
-    is None).  Works for any real B >= 0 since no codebook is enumerated.
+    is None), behind a leading axis for a list of generators.  Works for
+    any real B >= 0 since no codebook is enumerated.
     At M = 2 the nullspace of h_hat is one-dimensional and ``s`` reduces to
     the unique orthogonal direction carrying a uniform phase.
     """
     n = 1 if size is None else size
     h_hat = sample_isotropic_unit(M, rng, size=n)
-    z = np.atleast_1d(sample_error(M, B, rng, size=n))
+    z = sample_error(M, B, rng, size=n)
     g = sample_complex_gaussian(M, rng, size=n)
-    proj = np.einsum("nm,nm->n", h_hat.conj(), g)
-    perp = g - proj[:, None] * h_hat
-    norms = np.linalg.norm(perp, axis=1, keepdims=True)
+
+    def residual(g):
+        proj = np.einsum("...m,...m->...", h_hat.conj(), g)
+        perp = g - proj[..., None] * h_hat
+        return perp, np.linalg.norm(perp, axis=-1, keepdims=True)
+
+    perp, norms = residual(g)
     while np.any(norms == 0.0):  # probability-zero guard
-        g = sample_complex_gaussian(M, rng, size=n)
-        proj = np.einsum("nm,nm->n", h_hat.conj(), g)
-        perp = g - proj[:, None] * h_hat
-        norms = np.linalg.norm(perp, axis=1, keepdims=True)
+        g = redraw_streams(rng, norms == 0.0, g,
+                           lambda streams: sample_complex_gaussian(M, streams, size=n))
+        perp, norms = residual(g)
     s = perp / norms
-    h_dir = np.sqrt(1.0 - z)[:, None] * h_hat + np.sqrt(z)[:, None] * s
+    h_dir = np.sqrt(1.0 - z)[..., None] * h_hat + np.sqrt(z)[..., None] * s
     if size is None:
-        return h_dir[0], h_hat[0], float(z[0])
+        z = z[..., 0]
+        return h_dir[..., 0, :], h_hat[..., 0, :], float(z) if z.ndim == 0 else z
     return h_dir, h_hat, z
 
 

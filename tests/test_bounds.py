@@ -54,6 +54,14 @@ class TestScalingPolicy:
         with pytest.raises(DomainError):
             ScalingPolicy(kind="nonsense", B_fixed=4)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        # NaN passes every comparison-based check and would run with 0 bits
+        for make in (ScalingPolicy.exact_scaled, ScalingPolicy.approx_3db,
+                     ScalingPolicy.alpha_scaled):
+            with pytest.raises(DomainError, match="finite"):
+                make(value)
+
 
 class TestThroughputCurve:
     def test_requires_increasing_grid(self):

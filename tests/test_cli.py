@@ -206,6 +206,43 @@ class TestSweepCommand:
         assert [r[1] for r in rows] == ["random_bf", "random_bf"]
         assert all(float(r[8]) > 0.0 for r in rows)
 
+    @pytest.mark.parametrize("engine, flags", [
+        ("tdma", ["--csit", "perfect"]), ("tdma", ["--scaling", "fixed", "--B", "10"]),
+        ("tdma", ["--b-gap", "2"]), ("tdma", ["--alpha", "1"]), ("tdma", ["--precoder", "RZF"]),
+        ("tdma", ["--path", "brute"]), ("random_bf", ["--csit", "quantized"]),
+        ("random_bf", ["--precoder", "ZF"]), ("random_bf", ["--B", "4"]),
+        ("miso", ["--precoder", "RZF", "--B", "3"]),
+    ])
+    def test_engine_rejects_feedback_flags_it_ignores(self, engine, flags, tmp_path, capsys):
+        base = ["sweep", "--engine", engine, "--M", "2", "--K", "2", "--trials", "3",
+                "--snr", "0:10:0", "--out", str(tmp_path / "x.csv")]
+        assert main(base + flags) == 2
+        assert f"engine {engine!r} does not read {flags[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_engine_rejects_ignored_config_field(self, tmp_path):
+        p = tmp_path / "tdma.json"
+        p.write_text(json.dumps({"command": "sweep", "engine": "tdma", "M": 2, "csit": "perfect"}))
+        assert main(["sweep", "--config", str(p), "--trials", "3", "--snr", "0:10:0",
+                     "--out", "-"]) == 2
+
+    @pytest.mark.parametrize("engine", ["tdma", "random_bf"])
+    def test_baseline_defaults_do_not_trip_the_check(self, engine, capsys):
+        assert main(["sweep", "--engine", engine, "--M", "2", "--K", "2", "--trials", "3",
+                     "--snr", "0:10:0", "--out", "-"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--scaling", "approx3", "--b-gap", "nan"],
+                                       ["--scaling", "approx3", "--b-gap", "inf"],
+                                       ["--scaling", "exact", "--b-gap=-inf"],
+                                       ["--scaling", "alpha", "--alpha", "nan"],
+                                       ["--scaling", "alpha", "--alpha", "inf"]])
+    def test_non_finite_policy_parameter_is_exit_2(self, flags, capsys):
+        assert main(["sweep", "--M", "2", "--trials", "3", "--snr", "0:10:10",
+                     "--out", "-", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "finite" in captured.err
+        assert captured.out == ""
+
     def test_missing_bits_is_config_error(self):
         assert main(["sweep", "--M", "2", "--trials", "10", "--snr", "0:5:5"]) == 2
 
@@ -346,6 +383,16 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith("B,expected_error")
+
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported only by the functions that need it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fbmimo.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCurvesToRows:

@@ -160,6 +160,13 @@ class TestExpectedError:
         assert expected_error(M, hi) <= e * (1.0 + 1e-12)
 
 
+    @given(st.floats(min_value=0.0, max_value=1000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_two_antenna_identity_over_real_bits(self, B):
+        # 2^B beta(2^B, 2) = 1/(2^B + 1) holds for real B, not just integers
+        np.testing.assert_allclose(expected_error(2, B), 1.0 / (2.0 ** B + 1.0), rtol=1e-12)
+
+
 class TestNegLog2Error:
     def test_base_case(self):
         np.testing.assert_allclose(expected_neg_log2_error(2, 0), LOG2E, rtol=1e-12)
@@ -180,6 +187,14 @@ class TestNegLog2Error:
                 assert math.isfinite(v) and lo <= v <= hi
                 vals.append(v)
             assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @given(st.integers(min_value=2, max_value=16), st.floats(min_value=0.0, max_value=2000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_sandwich_over_real_bits(self, M, B):
+        # at B = 0 the upper bound is attained, so allow rounding there
+        lo, hi = neg_log2_error_bounds(M, B)
+        v = expected_neg_log2_error(M, B)
+        assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
 
     def test_example_value(self):
         v = expected_neg_log2_error(3, 4)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fbmimo import numerics
+from fbmimo import simulate as sim
 from fbmimo.bounds import ScalingPolicy
-from fbmimo.errors import CapacityError, ConfigError
-from fbmimo.numerics import RngStream
-from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, map_trials,
+from fbmimo.errors import CapacityError, ConfigError, SingularMatrixError
+from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
+from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
+from fbmimo.quantizer import generate_codebook, quantize, sample_quantized_pair
+from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig,
                              miso_feedback_throughput, mu_throughput, random_bf_throughput,
-                             rate_gap, tdma_throughput)
+                             rate_gap, tdma_throughput, trial_streams)
 
 B4 = ScalingPolicy.fixed(4)
 
@@ -57,18 +61,19 @@ class TestSimConfig:
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0)
 
 
-class TestMapTrials:
+class TestTrialStreams:
     def test_deterministic(self):
-        fn = lambda gen: (gen.standard_normal(), gen.standard_normal())
-        a = map_trials(300, 11, 2, fn)
-        b = map_trials(300, 11, 2, fn)
+        draw = lambda seed: sample_complex_gaussian(2, trial_streams(seed, 0, 300), size=3)
+        a, b = draw(11), draw(11)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, map_trials(300, 12, 2, fn))
+        assert not np.array_equal(a, draw(12))
 
     def test_row_t_draws_from_stream_t(self):
-        fn = lambda gen: (gen.standard_normal(), gen.random())
-        want = [fn(RngStream(3, t).generator()) for t in range(300)]
-        assert np.array_equal(map_trials(300, 3, 2, fn), want)
+        # a stacked draw equals each trial's draw alone, in any window of trials
+        stacked = sample_complex_gaussian(4, trial_streams(3, 100, 400), size=2)
+        want = [sample_complex_gaussian(4, RngStream(3, t).generator(), size=2)
+                for t in range(100, 400)]
+        assert np.array_equal(stacked, want)
 
 
 class TestMuThroughput:
@@ -229,3 +234,154 @@ class TestErrorBars:
             if abs(curve.mean_bps_hz[0] - want) <= 3.0 * curve.std_err[0]:
                 hits += 1
         assert hits >= 27
+
+
+# --- Oracle: the stacked engines against one trial at a time -----------------
+# The scalar trials below are the per-trial formulas the engines evaluated
+# before they worked on stacks: each draws from its own RngStream(seed, t)
+# generator and retries while a beamformer build is singular.
+
+def _one_quantized(gen, M, K, B, path):
+    if path == BRUTE_FORCE:
+        H = sample_complex_gaussian(M, gen, size=K)
+        h_hat = np.empty((K, M), dtype=complex)
+        for i in range(K):
+            h_hat[i] = quantize(H[i], generate_codebook(M, B, gen)).h_hat
+        return H, h_hat
+    h_dir, h_hat, _ = sample_quantized_pair(M, B, gen, size=K)
+    return np.sqrt(gen.gamma(M, 1.0, size=K))[:, None] * h_dir, h_hat
+
+
+def _one_beams(G, precoder, P):
+    return zf_beamformers(G) if precoder == ZF else rzf_beamformers(G, P)
+
+
+def _one_sum_rate(H, vectors, P):
+    gains = np.abs(H.conj() @ vectors) ** 2
+    per_stream = P / vectors.shape[1]
+    signal = per_stream * np.diagonal(gains)
+    interference = per_stream * (gains.sum(axis=1) - np.diagonal(gains))
+    return float(np.log2(1.0 + signal / (1.0 + interference)).sum())
+
+
+def _one_mu(gen, cfg, P, B):
+    if cfg.csit == "perfect":
+        H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
+        G = H.conj()
+    else:
+        H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+        G = h_hat.conj()
+    return _one_sum_rate(H, _one_beams(G, cfg.precoder, P), P)
+
+
+def _one_gap(gen, cfg, P, B):
+    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+    perfect = _one_beams(H.conj(), cfg.precoder, P)
+    fb = _one_beams(h_hat.conj(), cfg.precoder, P)
+    return (_one_sum_rate(H, perfect, P) - _one_sum_rate(H, fb, P)) / cfg.M
+
+
+def _one_miso(gen, cfg, P, B):
+    if cfg.path == BRUTE_FORCE:
+        h = sample_complex_gaussian(cfg.M, gen)
+        z = quantize(h, generate_codebook(cfg.M, B, gen)).error_z
+        mag2 = float(np.real(np.vdot(h, h)))
+    else:
+        z = sample_quantized_pair(cfg.M, B, gen)[2]
+        mag2 = float(gen.gamma(cfg.M, 1.0))
+    return math.log2(1.0 + P * mag2 * (1.0 - z))
+
+
+def _one_tdma(gen, cfg, P, B):
+    H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
+    return math.log2(1.0 + P * float(np.max(np.sum(np.abs(H) ** 2, axis=1))))
+
+
+def _one_random_bf(gen, cfg, P, B):
+    H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
+    gains = np.abs(H.conj() @ haar_unitary(cfg.M, gen)) ** 2
+    per_stream = P / cfg.M
+    sinr_table = per_stream * gains / (
+        1.0 + per_stream * (gains.sum(axis=1, keepdims=True) - gains))
+    best_beam = np.argmax(sinr_table, axis=1)
+    best_val = sinr_table[np.arange(cfg.K), best_beam]
+    rate = 0.0
+    for m in range(cfg.M):
+        claim = best_val[best_beam == m]
+        if claim.size:
+            rate += math.log2(1.0 + float(claim.max()))
+    return rate
+
+
+def _one_at_a_time(one, cfg, P, B):
+    rates, discarded = [], 0
+    for t in range(cfg.trials):
+        gen = RngStream(cfg.seed, t).generator()
+        while True:
+            try:
+                rates.append(one(gen, cfg, P, B))
+                break
+            except SingularMatrixError:
+                discarded += 1
+    return np.array(rates), discarded
+
+
+_SCALED_BITS = ScalingPolicy.exact_scaled(2.0)  # real-valued B on the fast path
+_ORACLE_CASES = {
+    "zf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+                   dict(csit="perfect")),
+    "rzf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+                    dict(csit="perfect", precoder=RZF)),
+    "zf_fast": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+                dict(policy=_SCALED_BITS)),
+    "rzf_fast": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+                 dict(policy=_SCALED_BITS, precoder=RZF)),
+    "zf_brute": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+                 dict(path=BRUTE_FORCE)),
+    "rzf_brute": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+                  dict(path=BRUTE_FORCE, precoder=RZF)),
+    "rate_gap": (sim.rate_gap, _one_gap, sim._mu_draw, sim._gap_rates,
+                 dict(policy=_SCALED_BITS)),
+    "miso_fast": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
+                  dict(K=1, policy=_SCALED_BITS)),
+    "miso_brute": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
+                   dict(K=1, path=BRUTE_FORCE)),
+    "tdma": (sim.tdma_throughput, _one_tdma, sim._channels_draw, sim._tdma_rates,
+             dict(K=5, csit="perfect")),
+    # eight beams: numpy sums eight or more terms pairwise, not in order
+    "random_bf": (sim.random_bf_throughput, _one_random_bf, sim._random_bf_draw,
+                  sim._random_bf_rates, dict(M=8, K=9, csit="perfect")),
+}
+
+
+class TestStackedEnginesMatchOneTrialAtATime:
+    def _check(self, case, monkeypatch, block, **overrides):
+        engine, one, draw, evaluate, kw = _ORACLE_CASES[case]
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        cfg = SimConfig(**{**dict(M=3, K=3, snr_grid_db=(0.0, 15.0), policy=B4, trials=45,
+                                  seed=19), **kw, **overrides})
+        curve = engine(cfg)
+        for j, snr_db in enumerate(cfg.snr_grid_db):
+            P = 10.0 ** (snr_db / 10.0)
+            B = sim._resolve_bits(cfg, snr_db)
+            want, want_discarded = _one_at_a_time(one, cfg, P, B)
+            got, discarded = sim._trials(cfg.trials, cfg.seed,
+                                         lambda gens: draw(gens, cfg, B),
+                                         lambda *arrays: evaluate(cfg, P, *arrays))
+            np.testing.assert_array_equal(got, want)
+            assert discarded == want_discarded == curve.resamples[j]
+            assert curve.mean_bps_hz[j] == want.mean()
+            assert curve.std_err[j] == want.std(ddof=1) / math.sqrt(cfg.trials)
+        return curve
+
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_rates_equal(self, case, monkeypatch):
+        self._check(case, monkeypatch, block=16)  # 45 trials: blocks of 16, 16 and 13
+
+    @pytest.mark.parametrize("case", ["zf_perfect", "zf_fast", "zf_brute", "rate_gap"])
+    def test_forced_singular_matrices(self, case, monkeypatch):
+        # flag every matrix whose top-left entry is small: a deterministic
+        # subset, redrawn from the flagged trial's own stream in both engines
+        monkeypatch.setattr(numerics, "near_singular", lambda a: np.abs(a[..., 0, 0]) < 0.3)
+        curve = self._check(case, monkeypatch, block=16)
+        assert curve.resamples.sum() > 0
