@@ -6,9 +6,9 @@ from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixe
                      rvq_bit_penalty, zf_dpc_power_offset_db)
 from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataError,
                      ResampleLimitError, SingularMatrixError)
-from .numerics import (RngStream, angle_sin2, beta_fn, haar_unitary, invert,
-                       ln_gamma, sample_complex_gaussian, sample_isotropic_unit)
-from .precoder import rzf_beamformers, sinr, zf_beamformers, zf_rates_perfect_csit
+from .numerics import (RngStream, angle_sin2, haar_unitary, invert, sample_complex_gaussian,
+                       sample_isotropic_unit)
+from .precoder import rzf_beamformers, zf_beamformers, zf_rates_perfect_csit
 from .quantizer import (Codebook, QuantizationOutcome, error_ccdf, error_upper_bound,
                         expected_error, expected_neg_log2_error, expected_optimal_error,
                         generate_codebook, neg_log2_error_bounds, optimal_error_cdf,

@@ -259,6 +259,9 @@ _SCALINGS = {
     "alpha": ("alpha", ScalingPolicy.alpha_scaled),
 }
 
+# the fields that hold a scaling's parameter: B, b_gap, alpha
+_SCALING_FIELDS = tuple(dict.fromkeys(field for field, _ in _SCALINGS.values()))
+
 
 def _sweep_policy(spec: ExperimentSpec) -> ScalingPolicy | None:
     if spec.csit == "perfect":
@@ -423,6 +426,24 @@ def _convert(field: str, value, option: dict):
     return value
 
 
+def _reject_ignored_sweep_options(spec: ExperimentSpec, given: dict) -> None:
+    """A given sweep option that the engine, or then the policy, ignores is
+    an error: perfect CSIT reads no policy option, and a scaling reads only
+    its own parameter field from _SCALINGS."""
+    reads = _ENGINES[spec.engine][2]
+    if spec.csit == "perfect":
+        policy = ("--csit perfect", ("scaling", *_SCALING_FIELDS))
+    else:
+        own = _SCALINGS[spec.scaling][0]
+        policy = (f"--scaling {spec.scaling}", [k for k in _SCALING_FIELDS if k != own])
+    for reader, ignored in ((f"engine {spec.engine!r}",
+                             [k for k in _FEEDBACK_OPTIONS if k not in reads]), policy):
+        unread = [k for k in ignored if k in given]
+        if unread:
+            raise ConfigError(f"{reader} does not read "
+                              + ", ".join("--" + k.replace("_", "-") for k in unread))
+
+
 def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
     """Merge config-file values with CLI flags (flags win) and validate.
 
@@ -450,11 +471,7 @@ def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
         raise ConfigError(f"command {command!r} requires field {positional!r}")
     spec = ExperimentSpec(**values)
     if command == "sweep":
-        reads = _ENGINES[spec.engine][2]
-        unread = [k for k in _FEEDBACK_OPTIONS if k in values and k not in reads]
-        if unread:
-            raise ConfigError(f"engine {spec.engine!r} does not read "
-                              + ", ".join("--" + k.replace("_", "-") for k in unread))
+        _reject_ignored_sweep_options(spec, values)
     # the checks a flag's type and choices cannot express
     if spec.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {spec.trials}")

@@ -1,4 +1,4 @@
-"""Zero-forcing and regularized zero-forcing beamformers plus SINR evaluation.
+"""Zero-forcing and regularized zero-forcing beamformers.
 
 All functions take a row matrix ``G`` whose row ``i`` is the conjugated
 channel ``h_i^H`` (see numerics module conventions), so ``G @ v`` stacks the
@@ -37,16 +37,6 @@ def rzf_beamformers(G: np.ndarray, P: float) -> np.ndarray:
     gram = G @ np.swapaxes(G.conj(), -1, -2) + (M / P) * np.eye(K, dtype=complex)
     v = np.swapaxes(np.linalg.solve(gram, G).conj(), -1, -2)
     return v / np.linalg.norm(v, axis=-2, keepdims=True)
-
-
-def sinr(h: np.ndarray, beams: np.ndarray, i: int, P: float) -> float:
-    """SINR of user i under equal per-stream power P/M across all beams
-    (the columns of ``beams``)."""
-    gains = np.abs(np.asarray(h).conj() @ beams) ** 2
-    per_stream = P / beams.shape[1]
-    signal = per_stream * gains[i]
-    interference = per_stream * (gains.sum() - gains[i])
-    return float(signal / (1.0 + interference))
 
 
 def zf_rates_perfect_csit(H: np.ndarray, P: float) -> np.ndarray:

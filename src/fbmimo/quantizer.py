@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .numerics import (LOG2E, draw_rows, ln_gamma, redraw_streams, sample_complex_gaussian,
+from .numerics import (LOG2E, draw_rows, redraw_streams, sample_complex_gaussian,
                        sample_isotropic_unit)
 
 MAX_CODEBOOK_BITS = 30
@@ -125,8 +125,8 @@ def expected_error(M: int, B: float) -> float:
     c = M / (M - 1.0)
     if B > 500.0:
         # beta(n, c) ~ Gamma(c) n^(-c) for huge n; avoids inf - inf in lgamma
-        return math.exp(ln_gamma(c) - (c - 1.0) * B * _LN2)
-    return math.exp(B * _LN2 + ln_gamma(c) - _ln_gamma_ratio(2.0 ** B, c))
+        return math.exp(math.lgamma(c) - (c - 1.0) * B * _LN2)
+    return math.exp(B * _LN2 + math.lgamma(c) - _ln_gamma_ratio(2.0 ** B, c))
 
 
 def error_upper_bound(M: int, B: float) -> float:

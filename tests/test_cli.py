@@ -243,6 +243,47 @@ class TestSweepCommand:
         assert "config error" in captured.err and "finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scaling", "fixed", "--B", "4", "--b-gap", "3", "--alpha", "7"],
+         "--scaling fixed does not read --b-gap, --alpha"),
+        (["--csit", "perfect", "--B", "4", "--scaling", "alpha"],
+         "--csit perfect does not read --scaling, --B"),
+        (["--csit", "perfect", "--alpha", "1"], "--csit perfect does not read --alpha"),
+        (["--B", "4", "--alpha", "1"], "--scaling fixed does not read --alpha"),
+        (["--scaling", "exact", "--b-gap", "2", "--B", "4"], "--scaling exact does not read --B"),
+        (["--scaling", "approx3", "--b-gap", "2", "--alpha", "1"],
+         "--scaling approx3 does not read --alpha"),
+        (["--scaling", "alpha", "--alpha", "1", "--b-gap", "2"],
+         "--scaling alpha does not read --b-gap"),
+        (["--engine", "miso", "--K", "1", "--csit", "perfect", "--B", "3"],
+         "--csit perfect does not read --B"),
+    ])
+    def test_policy_rejects_parameters_it_ignores(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--M", "2", "--trials", "3", "--snr", "0:10:0",
+                     "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_policy_rejects_ignored_config_field(self, tmp_path, capsys):
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps({"command": "sweep", "M": 2, "scaling": "approx3", "b_gap": 2,
+                                 "B": 6}))
+        assert main(["sweep", "--config", str(p), "--trials", "3", "--snr", "0:10:0",
+                     "--out", "-"]) == 2
+        assert "--scaling approx3 does not read --B" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--csit", "perfect"],
+                                       ["--csit", "perfect", "--precoder", "RZF"],
+                                       ["--scaling", "fixed", "--B", "4"], ["--B", "4"],
+                                       ["--scaling", "exact", "--b-gap", "2"],
+                                       ["--scaling", "approx3", "--b-gap", "2"],
+                                       ["--scaling", "alpha", "--alpha", "1"]])
+    def test_policy_reads_its_own_parameter(self, flags, capsys):
+        assert main(["sweep", "--M", "2", "--trials", "3", "--snr", "0:10:0",
+                     "--out", "-", *flags]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
     def test_missing_bits_is_config_error(self):
         assert main(["sweep", "--M", "2", "--trials", "10", "--snr", "0:5:5"]) == 2
 
@@ -393,6 +434,21 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",
+         "--trials", "20"],
+        ["figure", "fixed5x5", "--trials", "2"],
+    ])
+    def test_zf_runs_leave_scipy_unloaded(self, argv):
+        # the ZF inverse and its singularity test run on numpy alone
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fbmimo.cli import main; "
+             f"code = main({argv + ['--out', '-']!r}); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestCurvesToRows:

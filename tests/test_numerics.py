@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,24 @@ from scipy import integrate, stats
 from scipy.linalg import lu_factor, lu_solve
 
 from fbmimo.errors import DomainError, SingularMatrixError
-from fbmimo.numerics import (RngStream, angle_sin2, beta_fn, haar_unitary, invert,
-                             ln_gamma, sample_complex_gaussian, sample_isotropic_unit)
+from fbmimo.numerics import (RngStream, angle_sin2, haar_unitary, invert, near_singular,
+                             sample_complex_gaussian, sample_isotropic_unit)
+from fbmimo.quantizer import expected_error
+
+
+def beta_fn(x: float, y: float) -> float:
+    """Oracle: the beta function in log space, finite for large arguments."""
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def lu_factor_flags(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: scipy's smallest LU pivot per matrix and its flag under the
+    rule min |U_kk| <= 1e-12 * ||A||_F."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
+        lu, _ = lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1)
+    return pivots, pivots <= 1e-12 * np.linalg.norm(a, axis=(-2, -1))
 
 
 class TestRngStream:
@@ -128,25 +145,63 @@ class TestInvert:
             invert(np.ones((2, 3), dtype=complex))
 
 
+class TestNearSingular:
+    def _gaussian(self, rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_flags_match_lu_factor_on_random_stacks(self, M):
+        rng = np.random.default_rng(100 + M)
+        a = self._gaussian(rng, (400, M, M))
+        a[::4] *= 1e-9  # scale must not matter: the threshold is relative
+        a[1::4, :, M - 1] = 0.5j * a[1::4, :, 0]  # exactly dependent up to rounding
+        _, want = lu_factor_flags(a)
+        np.testing.assert_array_equal(near_singular(a), want)
+        assert 0 < want.sum() < len(want)
+
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_flags_match_lu_factor_across_the_threshold(self, M):
+        # column M-1 a multiple of column 0 plus noise of 1e-14..1e-10: the
+        # smallest pivot lands on both sides of 1e-12 * ||A||_F.  Within
+        # 1e-4 relative of the threshold rounding decides either way, so only
+        # those matrices may differ.
+        rng = np.random.default_rng(200 + M)
+        noise = np.repeat(np.logspace(-14, -10, 20), 100)
+        a = self._gaussian(rng, (len(noise), M, M))
+        a[:, :, M - 1] = self._gaussian(rng, (len(noise), 1)) * a[:, :, 0]
+        a += noise[:, None, None] * self._gaussian(rng, a.shape)
+        pivots, want = lu_factor_flags(a)
+        got = near_singular(a)
+        margin = np.abs(pivots / (1e-12 * np.linalg.norm(a, axis=(-2, -1))) - 1.0)
+        np.testing.assert_array_equal(got[margin > 1e-4], want[margin > 1e-4])
+        assert np.count_nonzero(margin <= 1e-4) <= 2
+        assert 0.2 < want.mean() < 0.8
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]),  # repeated row
+        np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 7.0]]),  # zero first column
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
+    ])
+    def test_exact_and_near_zero_pivots_flagged(self, a):
+        with np.errstate(all="raise"):  # no division by a zero pivot, no NaN
+            assert near_singular(a)
+        assert near_singular(a.astype(complex))
+
+    def test_stack_shapes(self):
+        rng = np.random.default_rng(7)
+        a = self._gaussian(rng, (2, 3, 4, 4))
+        a[1, 2] = 0.0
+        got = near_singular(a)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[False] * 3, [False, False, True]]
+        np.testing.assert_array_equal(near_singular(a.reshape(6, 4, 4)), got.ravel())
+        assert near_singular(a[0, 0]).shape == ()
+        assert not near_singular(a[0, 0])
+        assert near_singular(a[1, 2])
+
+
 class TestSpecialFunctions:
-    def test_ln_gamma_known_values(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
-        np.testing.assert_allclose(ln_gamma(0.5), math.log(math.sqrt(math.pi)), rtol=1e-14)
-        np.testing.assert_allclose(ln_gamma(6.0), math.log(120.0), rtol=1e-14)
-
-    def test_ln_gamma_wide_range(self):
-        # factorial recursion ln G(x+1) = ln G(x) + ln x holds across the domain
-        for x in (1e-3, 0.1, 1.5, 10.0, 1e4, 1e9):
-            np.testing.assert_allclose(ln_gamma(x + 1.0), ln_gamma(x) + math.log(x),
-                                       rtol=1e-12, atol=1e-13)
-
-    def test_ln_gamma_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-1.5)
-
     def test_beta_fn_against_quadrature(self):
         for x, y in [(1.0, 1.0), (2.5, 3.5), (256.0, 4.0 / 3.0)]:
             oracle, _ = integrate.quad(lambda t: t ** (x - 1) * (1 - t) ** (y - 1), 0.0, 1.0)
@@ -156,11 +211,14 @@ class TestSpecialFunctions:
         v = beta_fn(2.0 ** 30, 1.25)
         assert 0.0 < v < 1.0
 
-    def test_beta_fn_domain(self):
-        with pytest.raises(DomainError):
-            beta_fn(0.0, 1.0)
-        with pytest.raises(DomainError):
-            beta_fn(1.0, -2.0)
+    def test_expected_error_is_a_scaled_beta(self):
+        # E[Z] = 2^B beta(2^B, M/(M-1)); the oracle differences log-gammas of
+        # size 2^B B, so it loses about log10(2^B B) digits
+        for M in (2, 3, 4, 8):
+            for B in (0, 1, 5, 10, 15):
+                n = 2.0 ** B
+                np.testing.assert_allclose(expected_error(M, B), n * beta_fn(n, M / (M - 1.0)),
+                                           rtol=1e-9)
 
 
 class TestAngleSin2:

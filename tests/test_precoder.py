@@ -6,9 +6,19 @@ from scipy import stats
 
 from fbmimo.errors import DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, angle_sin2, sample_complex_gaussian
-from fbmimo.precoder import rzf_beamformers, sinr, zf_beamformers, zf_rates_perfect_csit
+from fbmimo.precoder import rzf_beamformers, zf_beamformers, zf_rates_perfect_csit
 from fbmimo.quantizer import sample_error
 from fbmimo.simulate import collect_zf_statistics
+
+
+def sinr(h: np.ndarray, beams: np.ndarray, i: int, P: float) -> float:
+    """Oracle: SINR of user i under equal per-stream power P/M across all
+    beams (the columns of ``beams``)."""
+    gains = np.abs(np.asarray(h).conj() @ beams) ** 2
+    per_stream = P / beams.shape[1]
+    signal = per_stream * gains[i]
+    interference = per_stream * (gains.sum() - gains[i])
+    return float(signal / (1.0 + interference))
 
 
 class TestZfBeamformers:
