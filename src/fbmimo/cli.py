@@ -428,11 +428,11 @@ def _convert(field: str, value, option: dict):
 
 def _reject_ignored_sweep_options(spec: ExperimentSpec, given: dict) -> None:
     """A given sweep option that the engine, or then the policy, ignores is
-    an error: perfect CSIT reads no policy option, and a scaling reads only
-    its own parameter field from _SCALINGS."""
+    an error: perfect CSIT reads no policy option and no quantization path,
+    and a scaling reads only its own parameter field from _SCALINGS."""
     reads = _ENGINES[spec.engine][2]
     if spec.csit == "perfect":
-        policy = ("--csit perfect", ("scaling", *_SCALING_FIELDS))
+        policy = ("--csit perfect", ("scaling", *_SCALING_FIELDS, "path"))
     else:
         own = _SCALINGS[spec.scaling][0]
         policy = (f"--scaling {spec.scaling}", [k for k in _SCALING_FIELDS if k != own])

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,37 @@ _U64 = 1 << 64
 _SQRT_HALF = math.sqrt(0.5)
 
 
+class _PhiloxKey:
+    """A Philox key offered to numpy as its seed sequence.
+
+    ``generate_state`` returns the two key words numpy asks Philox for, so
+    building the bit generator makes no ``SeedSequence`` and reads no OS
+    entropy.  It cannot spawn.  numpy accepts it as an ``ISeedSequence``
+    once ``_register_key`` has run.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, stream: int):
+        self.words = (stream % _U64, seed % _U64)  # low word first
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        # any other request means numpy changed how Philox is seeded; fail
+        # rather than silently key a different stream
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, asked for {n_words} x "
+                            f"{np.dtype(dtype)}")
+        return np.array(self.words, dtype=np.uint64)
+
+
+@functools.cache
+def _register_key() -> None:
+    # on first use: importing numpy.random here rather than at module import
+    # keeps it off `import fbmimo`'s path
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_PhiloxKey)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream keyed by ``(seed, stream)``.
@@ -38,14 +70,19 @@ class RngStream:
     Equal keys produce bit-identical sample sequences no matter which
     thread or process consumes them, so simulation engines key ``stream``
     by trial index and stay reproducible under any parallel schedule.
+
+    The stream is Philox keyed by the words ``[stream, seed]`` (each mod
+    2**64, low word first), i.e. ``Philox(key=seed * 2**64 + stream)``,
+    with the counter at zero.  Building it draws no OS entropy.  Its
+    generator cannot ``spawn``; a new key gives a new stream.
     """
 
     seed: int
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = (self.seed % _U64) * _U64 + (self.stream % _U64)
-        return np.random.Generator(np.random.Philox(key=key))
+        _register_key()
+        return np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream)))
 
 
 def draw_rows(rng, draw) -> np.ndarray:

@@ -257,6 +257,9 @@ class TestSweepCommand:
          "--scaling alpha does not read --b-gap"),
         (["--engine", "miso", "--K", "1", "--csit", "perfect", "--B", "3"],
          "--csit perfect does not read --B"),
+        (["--csit", "perfect", "--path", "brute"], "--csit perfect does not read --path"),
+        (["--csit", "perfect", "--path", "fast", "--B", "4"],
+         "--csit perfect does not read --B, --path"),
     ])
     def test_policy_rejects_parameters_it_ignores(self, flags, message, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -273,12 +276,21 @@ class TestSweepCommand:
                      "--out", "-"]) == 2
         assert "--scaling approx3 does not read --B" in capsys.readouterr().err
 
+    def test_perfect_csit_rejects_path_config_field(self, tmp_path, capsys):
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps({"command": "sweep", "M": 2, "csit": "perfect",
+                                 "path": "brute_force"}))
+        assert main(["sweep", "--config", str(p), "--trials", "3", "--snr", "0:10:0",
+                     "--out", "-"]) == 2
+        assert "--csit perfect does not read --path" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--csit", "perfect"],
                                        ["--csit", "perfect", "--precoder", "RZF"],
                                        ["--scaling", "fixed", "--B", "4"], ["--B", "4"],
                                        ["--scaling", "exact", "--b-gap", "2"],
                                        ["--scaling", "approx3", "--b-gap", "2"],
-                                       ["--scaling", "alpha", "--alpha", "1"]])
+                                       ["--scaling", "alpha", "--alpha", "1"],
+                                       ["--csit", "quantized", "--B", "4", "--path", "brute"]])
     def test_policy_reads_its_own_parameter(self, flags, capsys):
         assert main(["sweep", "--M", "2", "--trials", "3", "--snr", "0:10:0",
                      "--out", "-", *flags]) == 0
@@ -434,6 +446,16 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random lazily; RngStream registers its Philox
+        # key with numpy.random only when the first stream is built
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fbmimo.cli; "
+             "print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",

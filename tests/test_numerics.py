@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -51,6 +52,43 @@ class TestRngStream:
         a = RngStream(seed, stream).generator().random(8)
         b = RngStream(seed, stream).generator().random(8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 2**64 - 1), (-5, 3),
+                                              (42, -1), (7, 2**64 + 9), (1234, 17)])
+    def test_stream_is_philox_keyed_seed_then_stream(self, seed, stream):
+        # the RNG contract every golden value rests on: Philox with the
+        # 128-bit key seed * 2**64 + stream (each mod 2**64), counter zero
+        gen = RngStream(seed, stream).generator()
+        ref = np.random.Generator(np.random.Philox(key=(seed % 2**64) * 2**64 + stream % 2**64))
+        assert np.array_equal(gen.standard_normal(33), ref.standard_normal(33))
+        assert np.array_equal(gen.random(17), ref.random(17))
+        assert np.array_equal(gen.gamma(4.0, 1.0, size=9), ref.gamma(4.0, 1.0, size=9))
+        out, out_ref = np.empty((3, 5)), np.empty((3, 5))
+        gen.standard_normal(out=out)
+        ref.standard_normal(out=out_ref)
+        assert np.array_equal(out, out_ref)
+
+    def test_each_call_is_a_fresh_independent_generator(self):
+        stream = RngStream(9, 4)
+        a, b = stream.generator(), stream.generator()
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.standard_normal(10)
+        assert np.array_equal(b.standard_normal(10), first)  # a's draws left b at the start
+        assert not np.array_equal(a.standard_normal(10), first)
+
+    def test_generator_survives_pickling(self):
+        gen = RngStream(11, 3).generator()
+        gen.random(5)
+        clone = pickle.loads(pickle.dumps(gen))
+        assert np.array_equal(clone.standard_normal(20), gen.standard_normal(20))
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint32), (1, np.uint64),
+                                                (4, np.uint64), (2, np.int64)])
+    def test_key_serves_only_two_uint64_words(self, n_words, dtype):
+        key = RngStream(1, 2).generator().bit_generator.seed_seq
+        assert np.array_equal(key.generate_state(2, np.uint64), [2, 1])
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(n_words, dtype)
 
 
 class TestComplexGaussian:
