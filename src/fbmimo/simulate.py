@@ -11,12 +11,18 @@ channels, beams and rates for the whole stack of trials at once.
 Two quantized-CSIT paths are available: brute_force enumerates a fresh
 random codebook per user per trial (integer B <= 30, non-integer B is
 rounded up), while fast_decomposition samples the error statistic directly
-and is exact in distribution at any real B.
+and is exact in distribution at any real B.  Large brute codebooks are
+drawn and searched on threads, one contiguous run of a stack's trials per
+CPU the process may use; each trial still draws only from its own stream,
+so the result is bit-identical whatever the thread count.  Everything else
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,13 @@ DEFAULT_SNR_GRID_DB = tuple(float(x) for x in range(0, 45, 5))
 
 _MAX_RESAMPLES = 1000
 _BLOCK = 1024  # trials drawn and evaluated as one stack
+# Brute-path threads are sized by a codebook's M * 2^B complex entries.
+# On 2 CPUs two threads beat one from 4096 entries per codebook (M=4, B=10:
+# 13-32% faster), broke even at 2048 and lost at 1024.  A codebook's draw
+# and search peak at 34-40 bytes per entry, so 2^20 entries over all
+# threads hold about 40 MiB.
+_THREAD_MIN_ENTRIES = 1 << 12
+_THREAD_BUDGET_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,15 +109,68 @@ def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
     return _codebook_bits(B) if cfg.path == BRUTE_FORCE else B
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(M: int, B: float, trials: int, cpus: int) -> int:
+    """Threads that draw and search the codebooks of `trials` trials.
+
+    One below _THREAD_MIN_ENTRIES entries (M * 2^B) per codebook, where
+    per-codebook Python holds the interpreter lock longer than numpy drops
+    it.  Above, one per CPU and per trial, but no more than keep the
+    threads' codebooks within _THREAD_BUDGET_ENTRIES together.
+    """
+    entries = M << int(B)
+    if entries < _THREAD_MIN_ENTRIES:
+        return 1
+    return max(1, min(cpus, trials, _THREAD_BUDGET_ENTRIES // entries))
+
+
+def _each_trial(n: int, work, workers: int) -> None:
+    """work(t) for t in 0..n-1, as `workers` contiguous runs of trials.
+
+    The calling thread runs the first run and one thread each the rest.
+    work(t) may touch only trial t's generator and output rows, so the
+    result does not depend on the split.  If runs fail, the exception of
+    the lowest one is raised, the one a serial loop would have raised.
+    """
+    edges = [n * w // workers for w in range(workers + 1)]
+    errors = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            for t in range(edges[w], edges[w + 1]):
+                work(t)
+        except BaseException as err:  # re-raised below, after every join
+            errors[w] = err
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def _draw_quantized(gens: list, M: int, K: int, B: float,
                     path: str) -> tuple[np.ndarray, np.ndarray]:
     """Channel rows H and quantized unit directions, both (trials, K, M)."""
     if path == BRUTE_FORCE:
         H = sample_complex_gaussian(M, gens, size=K)
         h_hat = np.empty_like(H)
-        for gen, h, row in zip(gens, H, h_hat):
+
+        def search(t: int) -> None:
             for i in range(K):
-                row[i] = quantize(h[i], generate_codebook(M, B, gen)).h_hat
+                h_hat[t, i] = quantize(H[t, i], generate_codebook(M, B, gens[t])).h_hat
+
+        _each_trial(len(gens), search, _workers(M, B, len(gens), _cpus()))
         return H, h_hat
     h_dir, h_hat, _ = sample_quantized_pair(M, B, gens, size=K)
     mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
@@ -191,9 +257,12 @@ def _miso_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     if cfg.path == BRUTE_FORCE:
         h = sample_complex_gaussian(cfg.M, gens)
         mag2, z = np.empty(len(gens)), np.empty(len(gens))
-        for t, gen in enumerate(gens):
-            z[t] = quantize(h[t], generate_codebook(cfg.M, B, gen)).error_z
+
+        def search(t: int) -> None:
+            z[t] = quantize(h[t], generate_codebook(cfg.M, B, gens[t])).error_z
             mag2[t] = np.real(np.vdot(h[t], h[t]))
+
+        _each_trial(len(gens), search, _workers(cfg.M, B, len(gens), _cpus()))
         return mag2, z
     z = sample_quantized_pair(cfg.M, B, gens)[2]
     return draw_rows(gens, lambda gen: gen.gamma(cfg.M, 1.0)), z

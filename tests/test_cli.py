@@ -3,14 +3,16 @@ import json
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fbmimo import simulate
 from fbmimo.bounds import ScalingPolicy
 from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, main,
                         parse_bit_range, parse_snr_grid)
-from fbmimo.errors import ConfigError, SingularMatrixError
+from fbmimo.errors import ConfigError, DomainError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
 from fbmimo.simulate import FAST_DECOMPOSITION, SimConfig, mu_throughput
 
@@ -418,6 +420,41 @@ class TestExitCodes:
         assert code == 4
         assert "resamples" in err and "Traceback" not in err
 
+    def test_worker_thread_error_is_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        quantize = simulate.quantize
+
+        def fails_off_the_calling_thread(h, codebook):
+            if threading.current_thread() is not threading.main_thread():
+                raise DomainError("worker trial")
+            return quantize(h, codebook)
+
+        monkeypatch.setattr(simulate, "quantize", fails_off_the_calling_thread)
+        before = threading.active_count()
+        code = main(["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",
+                     "--trials", "20", "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: worker trial") and "Traceback" not in err
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "compare88", "--trials", "4"],
+        ["sweep", "--M", "4", "--B", "10", "--path", "fast", "--snr", "0:10:10",
+         "--trials", "20"],
+    ])
+    def test_serial_paths_start_no_thread(self, argv, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with pytest.raises(AssertionError, match="thread"):  # the patch does bite
+            main(["sweep", "--M", "4", "--B", "10", "--path", "brute", "--snr", "0:10:10",
+                  "--trials", "2", "--out", "-"])
+        assert main(argv + ["--out", "-"]) == 0
+
     def test_config_file_supplies_fields(self, tmp_path):
         p = tmp_path / "ok.json"
         p.write_text(json.dumps({"command": "table", "table_kind": "quantizer",
@@ -449,13 +486,15 @@ class TestModuleEntryPoint:
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random lazily; RngStream registers its Philox
-        # key with numpy.random only when the first stream is built
+        # key with numpy.random only when the first stream is built.  The
+        # brute path's threads come from threading, which numpy already
+        # loads, not from concurrent.futures.
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, fbmimo.cli; "
-             "print('numpy.random' in sys.modules)"],
+             "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",

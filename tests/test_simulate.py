@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy import integrate
 from fbmimo import numerics
 from fbmimo import simulate as sim
 from fbmimo.bounds import ScalingPolicy
-from fbmimo.errors import CapacityError, ConfigError, SingularMatrixError
+from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
 from fbmimo.quantizer import generate_codebook, quantize, sample_quantized_pair
@@ -385,3 +387,119 @@ class TestStackedEnginesMatchOneTrialAtATime:
         monkeypatch.setattr(numerics, "near_singular", lambda a: np.abs(a[..., 0, 0]) < 0.3)
         curve = self._check(case, monkeypatch, block=16)
         assert curve.resamples.sum() > 0
+
+
+class TestWorkerCount:
+    def test_size_gate_cpus_trials_and_memory_budget(self):
+        assert sim._workers(4, 8, 300, 2) == 1  # below the size gate
+        assert sim._workers(4, 10, 300, 2) == 2
+        assert sim._workers(6, 12, 5, 7) == 5  # no more threads than trials
+        assert sim._workers(4, 10, 1, 2) == 1
+        assert sim._workers(4, 17, 300, 8) == 2  # 2 x 2^19 entries fill the budget
+        assert sim._workers(4, 18, 300, 8) == 1
+        assert sim._workers(4, 30, 300, 8) == 1
+
+
+_THREADED_CASES = {
+    "zf_brute": (sim.mu_throughput, dict(path=BRUTE_FORCE)),
+    "rzf_brute": (sim.mu_throughput, dict(path=BRUTE_FORCE, precoder=RZF)),
+    "miso_brute": (sim.miso_feedback_throughput, dict(K=1, path=BRUTE_FORCE)),
+}
+
+
+class TestWorkerCountInvariance:
+    """The brute path gives the serial run's arrays whatever the thread count.
+
+    37 trials in blocks of 16, 16 and 5, so 7 workers are also capped at the
+    5 trials of the last block.  The size gate is lowered so that these small
+    codebooks are threaded.
+    """
+
+    @pytest.fixture
+    def workers_used(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK", 16)
+        monkeypatch.setattr(sim, "_THREAD_MIN_ENTRIES", 0)
+        used = []
+        each_trial = sim._each_trial
+
+        def spy(n, work, workers):
+            used.append((n, workers))
+            return each_trial(n, work, workers)
+
+        monkeypatch.setattr(sim, "_each_trial", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+        try:
+            yield used
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _at(self, monkeypatch, cpus, run):
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        return run()
+
+    # only ZF inverts, so only ZF meets the forced-singular flags
+    @pytest.mark.parametrize("case, singular", [
+        ("zf_brute", False), ("rzf_brute", False), ("miso_brute", False), ("zf_brute", True)])
+    @pytest.mark.parametrize("cpus", [2, 3, 7])
+    def test_curves_equal_serial(self, case, cpus, singular, monkeypatch, workers_used):
+        if singular:  # as in TestStackedEnginesMatchOneTrialAtATime
+            monkeypatch.setattr(numerics, "near_singular",
+                                lambda a: np.abs(a[..., 0, 0]) < 0.3)
+        engine, kw = _THREADED_CASES[case]
+        cfg = SimConfig(**{**dict(M=3, K=3, snr_grid_db=(0.0, 15.0), policy=B4, trials=37,
+                                  seed=19), **kw})
+        want = self._at(monkeypatch, 1, lambda: engine(cfg))
+        assert {w for _, w in workers_used} == {1}
+        workers_used.clear()
+        got = self._at(monkeypatch, cpus, lambda: engine(cfg))
+        np.testing.assert_array_equal(got.mean_bps_hz, want.mean_bps_hz)
+        np.testing.assert_array_equal(got.std_err, want.std_err)
+        np.testing.assert_array_equal(got.resamples, want.resamples)
+        assert (16, cpus) in workers_used and (5, min(cpus, 5)) in workers_used
+        if singular:  # flagged subsets were redrawn through the threads too
+            assert want.resamples.sum() > 0
+            assert any(n not in (16, 5) for n, _ in workers_used)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 7])
+    def test_zf_statistics_equal_serial(self, cpus, monkeypatch, workers_used):
+        def run():
+            return sim.collect_zf_statistics(3, 4, 37, seed=19, path=BRUTE_FORCE)
+
+        want = self._at(monkeypatch, 1, run)
+        got = self._at(monkeypatch, cpus, run)
+        for key in ("signal", "interference", "error_z"):
+            np.testing.assert_array_equal(got[key], want[key])
+        assert got["resamples"] == want["resamples"]
+        assert (16, cpus) in workers_used
+
+
+class TestThreadedFailures:
+    def test_lowest_failing_run_raises(self):
+        # runs [0, 5), [5, 10) and [10, 16): a serial loop stops at trial 7
+        def work(t):
+            if t in (7, 12):
+                raise DomainError(f"trial {t}")
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="trial 7"):
+            sim._each_trial(16, work, 3)
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(sim, "_THREAD_MIN_ENTRIES", 0)
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        quantize, raised = sim.quantize, []
+
+        def fails_off_the_calling_thread(h, codebook):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(DomainError("worker trial"))
+                raise raised[-1]
+            return quantize(h, codebook)
+
+        monkeypatch.setattr(sim, "quantize", fails_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(DomainError) as excinfo:
+            sim.mu_throughput(_cfg(path=BRUTE_FORCE, trials=16))
+        assert raised and excinfo.value is raised[0]
+        assert threading.active_count() == before
