@@ -1,5 +1,17 @@
 """Finite-rate-feedback multiuser MIMO downlink: simulation and closed forms."""
 
+import os
+
+# Every BLAS/LAPACK call in the package works on stacks of small matrices
+# (at most 8x8 in the figure presets) or goes through einsum, below
+# OpenBLAS's threading threshold, so its worker pool never gets work;
+# starting it still costs ~0.1 s of a second core per process (0.33 -> 0.20 s
+# CPU for `figure compare88 --trials 300` on 2 CPUs).  Set before the first
+# numpy import, the variable also covers scipy's own OpenBLAS and is
+# inherited by child processes.  An explicit value wins, and it has no
+# effect if numpy was imported first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixed_B,
                      feedback_bits, fit_multiplexing_gain, horizontal_offset_db,
                      miso_reference, mux_gain_prediction, rate_gap_bound,

@@ -73,8 +73,9 @@ def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
     norm2 = float(np.real(np.vdot(h, h)))
     if norm2 == 0.0:
         raise DomainError("cannot quantize the zero vector")
-    # einsum never reaches BLAS; a (2^B, M) matvec there wakes OpenBLAS's
-    # thread pool, whose hand-off costs far more than the product itself
+    # einsum never reaches BLAS; with OPENBLAS_NUM_THREADS > 1, a (2^B, M)
+    # matvec there wakes OpenBLAS's thread pool, whose hand-off costs far
+    # more than the product itself
     cos2 = np.abs(np.einsum("km,m->k", codebook.words, h.conj())) ** 2 / norm2
     index = int(np.argmax(cos2))
     error_z = min(max(1.0 - float(cos2[index]), 0.0), 1.0)

@@ -44,11 +44,12 @@ DEFAULT_SNR_GRID_DB = tuple(float(x) for x in range(0, 45, 5))
 _MAX_RESAMPLES = 1000
 _BLOCK = 1024  # trials drawn and evaluated as one stack
 # Brute-path threads are sized by a codebook's M * 2^B complex entries.
-# On 2 CPUs two threads beat one from 4096 entries per codebook (M=4, B=10:
-# 13-32% faster), broke even at 2048 and lost at 1024.  A codebook's draw
+# On 2 CPUs, one trial stack of 1024, two threads beat one from 2048 entries
+# per codebook (M=2, B=10; M=4, B=9; M=8, B=8: 10-19% faster, 10/10 pairs),
+# broke even at 1536 and lost at 1024 (about 20% slower).  A codebook's draw
 # and search peak at 34-40 bytes per entry, so 2^20 entries over all
 # threads hold about 40 MiB.
-_THREAD_MIN_ENTRIES = 1 << 12
+_THREAD_MIN_ENTRIES = 1 << 11
 _THREAD_BUDGET_ENTRIES = 1 << 20
 
 

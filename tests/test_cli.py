@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,13 @@ from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, mai
 from fbmimo.errors import ConfigError, DomainError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
 from fbmimo.simulate import FAST_DECOMPOSITION, SimConfig, mu_throughput
+
+
+def _blas_env(**extra):
+    """This process's environment without OPENBLAS_NUM_THREADS, which
+    importing fbmimo set here, plus `extra`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, **extra}
 
 
 def _read_csv(path):
@@ -496,6 +504,20 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or simulate._cpus() < 2,
+                        reason="threads are counted in /proc; OpenBLAS starts none on 1 CPU")
+    def test_import_starts_no_blas_worker(self):
+        def threads(env):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import os, fbmimo; print(len(os.listdir('/proc/self/task')))"],
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        assert threads(_blas_env()) == 1
+        assert threads(_blas_env(OPENBLAS_NUM_THREADS="2")) == 2  # an explicit value wins
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",
          "--trials", "20"],
@@ -510,6 +532,25 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+_BRUTE_CODEBOOK = ["sweep", "--engine", "mu", "--M", "4", "--csit", "quantized",
+                   "--scaling", "fixed", "--B", "10", "--path", "brute", "--snr", "10:10:10"]
+
+
+class TestBlasThreadInvariance:
+    @pytest.mark.parametrize("argv", [["figure", "compare88"], ["figure", "fixed5x5"],
+                                      _BRUTE_CODEBOOK])
+    def test_csv_independent_of_blas_threads(self, argv, tmp_path):
+        outputs = []
+        for name, env in (("default", _blas_env()), ("two", _blas_env(OPENBLAS_NUM_THREADS="2"))):
+            out = tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fbmimo.cli", *argv, "--trials", "40", "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCurvesToRows:

@@ -78,6 +78,23 @@ class TestTrialStreams:
         assert np.array_equal(stacked, want)
 
 
+class TestPrefixProperty:
+    """Trial t's values do not depend on how many trials run, so a shorter
+    run is a prefix of a longer one, across the block boundary too."""
+
+    @pytest.mark.parametrize("path, M, B", [(FAST_DECOMPOSITION, 4, 10.0), (BRUTE_FORCE, 2, 3)])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_zf_statistics_prefix(self, path, M, B, singular, monkeypatch):
+        if singular:  # redrawn trials too, as in TestStackedEnginesMatchOneTrialAtATime
+            monkeypatch.setattr(numerics, "near_singular", lambda a: np.abs(a[..., 0, 0]) < 0.3)
+        short = sim.collect_zf_statistics(M, B, 300, seed=5, path=path)
+        long = sim.collect_zf_statistics(M, B, 2048, seed=5, path=path)
+        assert 2048 > sim._BLOCK > 300
+        assert (short["resamples"] > 0) == singular
+        for key in ("signal", "interference", "error_z"):
+            np.testing.assert_array_equal(short[key], long[key][:300])
+
+
 class TestMuThroughput:
     def test_requires_square_system(self):
         with pytest.raises(ConfigError):
@@ -392,6 +409,7 @@ class TestStackedEnginesMatchOneTrialAtATime:
 class TestWorkerCount:
     def test_size_gate_cpus_trials_and_memory_budget(self):
         assert sim._workers(4, 8, 300, 2) == 1  # below the size gate
+        assert sim._workers(4, 9, 300, 2) == 2
         assert sim._workers(4, 10, 300, 2) == 2
         assert sim._workers(6, 12, 5, 7) == 5  # no more threads than trials
         assert sim._workers(4, 10, 1, 2) == 1
