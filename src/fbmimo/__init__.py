@@ -15,12 +15,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixed_B,
                      feedback_bits, fit_multiplexing_gain, horizontal_offset_db,
                      miso_reference, mux_gain_prediction, rate_gap_bound,
-                     rvq_bit_penalty, zf_dpc_power_offset_db)
+                     rvq_bit_penalty, zf_dpc_power_offset_db, zf_perfect_sum_rate)
 from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataError,
                      ResampleLimitError, SingularMatrixError)
 from .numerics import (RngStream, angle_sin2, haar_unitary, invert, sample_complex_gaussian,
                        sample_isotropic_unit)
-from .precoder import rzf_beamformers, zf_beamformers, zf_rates_perfect_csit
+from .precoder import rzf_beamformers, zf_beamformers
 from .quantizer import (Codebook, QuantizationOutcome, error_ccdf, error_upper_bound,
                         expected_error, expected_neg_log2_error, expected_optimal_error,
                         generate_codebook, neg_log2_error_bounds, optimal_error_cdf,

@@ -266,6 +266,53 @@ def horizontal_offset_db(reference: ThroughputCurve, degraded: ThroughputCurve,
     return float(np.mean(offsets))
 
 
+def _exp_e1(x: float) -> float:
+    """e^x E1(x) for x > 0, with E1 the exponential integral.
+
+    Up to x = 1 the power series E1(x) = -gamma - ln x - sum (-x)^k/(k k!);
+    above, the continued fraction 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))) by the
+    modified Lentz method (Press et al., Numerical Recipes, 3rd ed., 6.3).
+    """
+    if not x > 0.0:
+        raise DomainError(f"x must be > 0, got {x}")
+    if x <= 1.0:
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= -x / k  # (-x)^k / k!
+            total -= term / k
+            if abs(term / k) <= 1e-17 * abs(total):
+                return math.exp(x) * (total - np.euler_gamma - math.log(x))
+    if math.isinf(x):
+        return 0.0
+    b = x + 1.0
+    c, d = math.inf, 1.0 / b
+    value, i = d, 0
+    while True:
+        i += 1
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        value *= delta
+        if abs(delta - 1.0) <= 1e-16:
+            return value
+
+
+def zf_perfect_sum_rate(P: float, M: int) -> float:
+    """Mean perfect-CSIT zero-forcing sum rate with K = M users.
+
+    Each user's ZF gain is Exp(1), so the mean is M E[log2(1 + (P/M) X)]
+    = M log2(e) e^(M/P) E1(M/P), and 0 at P = 0.
+    """
+    if P < 0.0:
+        raise DomainError(f"P must be >= 0, got {P}")
+    if M < 1:
+        raise DomainError(f"M must be >= 1, got {M}")
+    return M * LOG2E * _exp_e1(M / P) if P > 0.0 else 0.0
+
+
 class MisoReference(NamedTuple):
     c_csit: float
     c_nocsit: float

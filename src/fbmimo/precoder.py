@@ -37,13 +37,3 @@ def rzf_beamformers(G: np.ndarray, P: float) -> np.ndarray:
     gram = G @ np.swapaxes(G.conj(), -1, -2) + (M / P) * np.eye(K, dtype=complex)
     v = np.swapaxes(np.linalg.solve(gram, G).conj(), -1, -2)
     return v / np.linalg.norm(v, axis=-2, keepdims=True)
-
-
-def zf_rates_perfect_csit(H: np.ndarray, P: float) -> np.ndarray:
-    """Per-user rates log2(1 + (P/M)|h_i^H v_i|^2) for perfect-CSIT ZF,
-    where the interference term is exactly zero by construction."""
-    H = np.asarray(H, dtype=complex)
-    beams = zf_beamformers(H)
-    M = H.shape[1]
-    diag_gains = np.abs(np.einsum("ij,ji->i", H, beams)) ** 2
-    return np.log2(1.0 + (P / M) * diag_gains)

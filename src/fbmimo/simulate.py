@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ScalingPolicy, ThroughputCurve
+from .bounds import ScalingPolicy, ThroughputCurve, zf_perfect_sum_rate
 from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -246,6 +246,13 @@ def _mu_rates(cfg: SimConfig, P: float, H: np.ndarray, directions: np.ndarray) -
     return _sum_rate(H, _beamformers(directions.conj(), cfg.precoder, P), P)
 
 
+def _zf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
+                          h_hat: np.ndarray) -> np.ndarray:
+    """Quantized-ZF sum rates and, as their control variate, the
+    perfect-CSIT ZF sum rates on the same channels: shape (trials, 2)."""
+    return np.stack([_mu_rates(cfg, P, H, h_hat), _mu_rates(cfg, P, H, H)], axis=-1)
+
+
 def _gap_rates(cfg: SimConfig, P: float, H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
     beams_perfect = _beamformers(H.conj(), cfg.precoder, P)
@@ -300,22 +307,61 @@ def _random_bf_rates(cfg: SimConfig, P: float, H: np.ndarray, beams: np.ndarray)
     return np.add.accumulate(_log2(1.0 + claims), axis=-1)[..., -1]
 
 
+def _plain_estimate(rates: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error."""
+    n = len(rates)
+    return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
+def _regression_estimate(rates: np.ndarray, control: np.ndarray,
+                         control_mean: float) -> tuple[float, float]:
+    """Control-variate estimate of the mean of `rates`, and its std_err.
+
+    mean(rates) - beta (mean(control) - control_mean) with the least-squares
+    beta, and the residuals' standard deviation on n - 2 degrees of freedom
+    over sqrt(n) (Glasserman, Monte Carlo Methods in Financial Engineering,
+    2004, section 4.1).  Below 3 trials, or for a constant control, the
+    plain mean and std_err.
+    """
+    n = len(rates)
+    control_bar = float(control.mean())
+    dc = control - control_bar
+    sxx = float((dc * dc).sum())
+    if n < 3 or sxx == 0.0:
+        return _plain_estimate(rates)
+    rate_bar = float(rates.mean())
+    dy = rates - rate_bar
+    beta = float((dc * dy).sum()) / sxx
+    residual = dy - beta * dc
+    return (rate_bar - beta * (control_bar - control_mean),
+            math.sqrt(float((residual * residual).sum()) / ((n - 2) * n)))
+
+
 def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None,
-           precoder: str | None = None, feedback: bool = True) -> ThroughputCurve:
+           precoder: str | None = None, feedback: bool = True,
+           control=None) -> ThroughputCurve:
     """Sweep the SNR grid and average the engine's per-trial rates.
 
     Every trial retries its draw while the beamformer build is singular and
     the discarded draws are counted per point.  Curves with feedback=False
     (the baselines) never resolve feedback bits, so they need no policy.
+    With control(P), the exact mean of a control variate at power P,
+    evaluate returns (trials, 2) rows of rate and control, and each point
+    reports the regression estimate.
     """
     means, errs, bits, resamples = [], [], [], []
     for snr_db in cfg.snr_grid_db:
         P = 10.0 ** (snr_db / 10.0)
         B = _resolve_bits(cfg, snr_db) if feedback else math.nan
-        rates, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                                   lambda *arrays: evaluate(cfg, P, *arrays))
-        means.append(float(rates.mean()))
-        errs.append(float(rates.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0)
+        values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
+                                    lambda *arrays: evaluate(cfg, P, *arrays))
+        if control is None:
+            mean, err = _plain_estimate(values)
+        else:  # each column contiguous, so its sums run in the plain estimate's order
+            rates, controls = np.ascontiguousarray(values.T)
+            mean, err = _regression_estimate(rates, controls, control(P))
+        means.append(mean)
+        errs.append(err)
         bits.append(B)
         resamples.append(discarded)
     if policy is None:
@@ -334,9 +380,18 @@ def _require_square(cfg: SimConfig) -> None:
 
 def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     """Sum throughput M * E[log2(1 + SINR)] for the M-antenna, K=M-user
-    downlink under the configured precoder and CSIT model."""
+    downlink under the configured precoder and CSIT model.
+
+    Quantized-ZF points are control-variate estimates: the control is the
+    perfect-CSIT ZF sum rate on each trial's own channel, whose mean is
+    known in closed form (bounds.zf_perfect_sum_rate).
+    """
     _require_square(cfg)
-    return _curve(cfg, label or f"{cfg.precoder.lower()}_{cfg.csit}", _mu_draw, _mu_rates)
+    label = label or f"{cfg.precoder.lower()}_{cfg.csit}"
+    if cfg.csit == "quantized" and cfg.precoder == ZF:
+        return _curve(cfg, label, _mu_draw, _zf_rates_and_control,
+                      control=lambda P: zf_perfect_sum_rate(P, cfg.M))
+    return _curve(cfg, label, _mu_draw, _mu_rates)
 
 
 def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from fbmimo import bounds
 from fbmimo.bounds import (ScalingPolicy, ThroughputCurve, ceiling_fixed_B, feedback_bits,
                            fit_multiplexing_gain, horizontal_offset_db, miso_reference,
                            mux_gain_prediction, rate_gap_bound, rvq_bit_penalty,
-                           zf_dpc_power_offset_db)
+                           zf_dpc_power_offset_db, zf_perfect_sum_rate)
 from fbmimo.errors import DomainError, InsufficientDataError
 from fbmimo.numerics import LOG2E, LOG2_10
 
@@ -257,3 +258,39 @@ class TestMisoReference:
         ref = miso_reference(100.0, 4, 3)
         assert ref.r_fb_approx < ref.c_csit
         assert ref.c_nocsit < ref.c_csit
+
+
+def _exp_e1_oracle(x: float) -> float:
+    # e^x E1(x) by scipy; past x = 600 E1 nears the bottom of the float
+    # range, so there the integral of e^-t / (x + t) over t >= 0 instead
+    if x <= 600.0:
+        return math.exp(x) * special.exp1(x)
+    return integrate.quad(lambda t: math.exp(-t) / (x + t), 0.0, np.inf,
+                          epsabs=0.0, epsrel=2e-14)[0]
+
+
+class TestZfPerfectSumRate:
+    def test_exp_e1_matches_scipy(self):
+        xs = [*np.geomspace(1e-8, 1e3, 500), 1.0, np.nextafter(1.0, 0.0),
+              np.nextafter(1.0, 2.0)]
+        worst = max(abs(bounds._exp_e1(x) / _exp_e1_oracle(x) - 1.0) for x in xs)
+        assert worst <= 1e-13
+
+    def test_equals_ergodic_rate_of_unit_exponential_gains(self):
+        for p, m in [(1.0, 2), (10.0, 4), (100.0, 8)]:
+            # within the quadrature's accuracy, as in TestMisoReference
+            np.testing.assert_allclose(zf_perfect_sum_rate(p, m),
+                                       m * bounds._ergodic_rate(p / m, 1), rtol=1e-7)
+            np.testing.assert_allclose(zf_perfect_sum_rate(p, m),
+                                       m * LOG2E * _exp_e1_oracle(m / p), rtol=1e-13)
+
+    def test_domain(self):
+        assert zf_perfect_sum_rate(0.0, 4) == 0.0
+        assert zf_perfect_sum_rate(5e-324, 4) == 0.0  # M/P overflows to inf
+        with pytest.raises(DomainError):
+            zf_perfect_sum_rate(-1.0, 4)
+        with pytest.raises(DomainError):
+            zf_perfect_sum_rate(10.0, 0)
+        for x in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                bounds._exp_e1(x)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from fbmimo.errors import DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, angle_sin2, sample_complex_gaussian
-from fbmimo.precoder import rzf_beamformers, zf_beamformers, zf_rates_perfect_csit
+from fbmimo.precoder import rzf_beamformers, zf_beamformers
 from fbmimo.quantizer import sample_error
 from fbmimo.simulate import collect_zf_statistics
 
@@ -95,23 +95,15 @@ class TestSinr:
 
 
 class TestPerfectCsitRates:
-    def test_identity_channel(self):
-        rates = zf_rates_perfect_csit(np.eye(3, dtype=complex), P=9.0)
-        np.testing.assert_allclose(rates, math.log2(4.0), rtol=1e-12)
-
-    def test_diagonal_channel(self):
-        h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-        np.testing.assert_allclose(zf_rates_perfect_csit(h, P=4.0),
-                                   [math.log2(3.0), math.log2(9.0)], rtol=1e-12)
-
     def test_effective_gain_is_unit_exponential(self):
-        # square perfect-CSIT ZF: |h_i^H v_i|^2 is Exp(1) distributed
+        # square perfect-CSIT ZF: |h_i^H v_i|^2 is Exp(1) distributed, the
+        # law behind bounds.zf_perfect_sum_rate
         gains = []
         rng = RngStream(5, 0).generator()
         for _ in range(4000):
             h = sample_complex_gaussian(3, rng, size=3)
-            rates = zf_rates_perfect_csit(h.conj(), P=3.0)
-            gains.extend((2.0 ** rates - 1.0))
+            beams = zf_beamformers(h.conj())
+            gains.extend(np.abs(np.einsum("ij,ji->i", h.conj(), beams)) ** 2)
         assert stats.kstest(np.asarray(gains), stats.expon.cdf).pvalue > 0.01
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ from scipy import integrate
 
 from fbmimo import numerics
 from fbmimo import simulate as sim
-from fbmimo.bounds import ScalingPolicy
+from fbmimo.bounds import ScalingPolicy, zf_perfect_sum_rate
 from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -255,6 +256,58 @@ class TestErrorBars:
         assert hits >= 27
 
 
+class TestControlVariate:
+    """Quantized-ZF points use the perfect-CSIT ZF rate on each trial's own
+    channel as a control variate with its closed-form mean."""
+
+    def test_estimate_is_the_least_squares_intercept(self):
+        gen = RngStream(23, 0).generator()
+        control = gen.gamma(2.0, 1.0, size=50)
+        rates = 0.7 * control + gen.standard_normal(50)
+        mean, err = sim._regression_estimate(rates, control, 2.0)
+        design = np.column_stack([np.ones(50), control - 2.0])
+        coef, residual_ss = np.linalg.lstsq(design, rates, rcond=None)[:2]
+        np.testing.assert_allclose(mean, coef[0], rtol=1e-12)
+        np.testing.assert_allclose(err, math.sqrt(residual_ss[0] / 48 / 50), rtol=1e-12)
+
+    def test_plain_estimate_below_three_trials_or_for_a_constant_control(self):
+        rates = np.array([1.0, 2.0, 4.0])
+        plain = (rates.mean(), rates.std(ddof=1) / math.sqrt(3))
+        assert sim._regression_estimate(rates, np.full(3, 5.0), 1.0) == plain
+        assert sim._regression_estimate(rates[:2], rates[:2] ** 2, 9.0) == (
+            1.5, rates[:2].std(ddof=1) / math.sqrt(2))
+        assert sim._regression_estimate(rates[:1], rates[:1], 9.0) == (1.0, 0.0)
+
+    def test_variance_cut_at_ten_db(self):
+        # M=4, B=10, 10 dB: the control explains about half the variance
+        cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=3000)
+        rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 10.0),
+                               lambda *arrays: sim._mu_rates(cfg, 10.0, *arrays))
+        plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
+        assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 1.5
+
+    def test_std_err_coverage(self):
+        # Bounds fixed before the first run: the estimate's distance to a
+        # long plain-MC reference, over the hypot of both std_errs, is
+        # about t(298); 60 seeds cover within 3 sigma with p = 0.9971 and
+        # within 1 sigma with p = 0.682, so P(3-sigma hits < 57) = 3e-5
+        # and P(1-sigma hits outside 30..52) = 1.4e-3.
+        cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=300)
+        ref_trials = 60_000
+        reference, _ = sim._trials(ref_trials, 10_000,
+                                   lambda gens: sim._mu_draw(gens, cfg, 10.0),
+                                   lambda *arrays: sim._mu_rates(cfg, 10.0, *arrays))
+        want = reference.mean()
+        want_err = reference.std(ddof=1) / math.sqrt(ref_trials)
+        within = []
+        for seed in range(60):
+            curve = mu_throughput(dataclasses.replace(cfg, seed=seed))
+            within.append(abs(curve.mean_bps_hz[0] - want) / math.hypot(curve.std_err[0], want_err))
+        within = np.array(within)
+        assert np.sum(within <= 3.0) >= 57
+        assert 30 <= np.sum(within <= 1.0) <= 52
+
+
 # --- Oracle: the stacked engines against one trial at a time -----------------
 # The scalar trials below are the per-trial formulas the engines evaluated
 # before they worked on stacks: each draws from its own RngStream(seed, t)
@@ -291,6 +344,13 @@ def _one_mu(gen, cfg, P, B):
         H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
         G = h_hat.conj()
     return _one_sum_rate(H, _one_beams(G, cfg.precoder, P), P)
+
+
+def _one_zf_and_control(gen, cfg, P, B):
+    # quantized ZF's rate and the perfect-CSIT ZF rate on the same channel
+    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+    return (_one_sum_rate(H, zf_beamformers(h_hat.conj()), P),
+            _one_sum_rate(H, zf_beamformers(H.conj()), P))
 
 
 def _one_gap(gen, cfg, P, B):
@@ -351,12 +411,12 @@ _ORACLE_CASES = {
                    dict(csit="perfect")),
     "rzf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
                     dict(csit="perfect", precoder=RZF)),
-    "zf_fast": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
-                dict(policy=_SCALED_BITS)),
+    "zf_fast": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
+                sim._zf_rates_and_control, dict(policy=_SCALED_BITS)),
     "rzf_fast": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
                  dict(policy=_SCALED_BITS, precoder=RZF)),
-    "zf_brute": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
-                 dict(path=BRUTE_FORCE)),
+    "zf_brute": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
+                 sim._zf_rates_and_control, dict(path=BRUTE_FORCE)),
     "rzf_brute": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
                   dict(path=BRUTE_FORCE, precoder=RZF)),
     "rate_gap": (sim.rate_gap, _one_gap, sim._mu_draw, sim._gap_rates,
@@ -389,9 +449,15 @@ class TestStackedEnginesMatchOneTrialAtATime:
                                          lambda *arrays: evaluate(cfg, P, *arrays))
             np.testing.assert_array_equal(got, want)
             assert discarded == want_discarded == curve.resamples[j]
-            assert curve.mean_bps_hz[j] == want.mean()
-            assert curve.std_err[j] == want.std(ddof=1) / math.sqrt(cfg.trials)
-        return curve
+            if want.ndim == 2:  # quantized ZF: rates and their control variate
+                rates, controls = np.ascontiguousarray(want.T)
+                mean, err = sim._regression_estimate(rates, controls,
+                                                     zf_perfect_sum_rate(P, cfg.M))
+            else:
+                mean, err = want.mean(), want.std(ddof=1) / math.sqrt(cfg.trials)
+            assert curve.mean_bps_hz[j] == mean
+            assert curve.std_err[j] == err
+        return curve, cfg
 
     @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
     def test_rates_equal(self, case, monkeypatch):
@@ -402,8 +468,14 @@ class TestStackedEnginesMatchOneTrialAtATime:
         # flag every matrix whose top-left entry is small: a deterministic
         # subset, redrawn from the flagged trial's own stream in both engines
         monkeypatch.setattr(numerics, "near_singular", lambda a: np.abs(a[..., 0, 0]) < 0.3)
-        curve = self._check(case, monkeypatch, block=16)
+        curve, cfg = self._check(case, monkeypatch, block=16)
         assert curve.resamples.sum() > 0
+        if case in ("zf_fast", "zf_brute"):  # the control's inverse redrew trials too
+            B = sim._resolve_bits(cfg, 0.0)
+            _, quantized_only = sim._trials(cfg.trials, cfg.seed,
+                                            lambda gens: sim._mu_draw(gens, cfg, B),
+                                            lambda *arrays: sim._mu_rates(cfg, 1.0, *arrays))
+            assert curve.resamples[0] > quantized_only
 
 
 class TestWorkerCount:
