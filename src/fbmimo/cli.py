@@ -495,7 +495,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_snr_values(argv: list[str]) -> list[str]:
+    """argv with each `--snr GRID` whose GRID starts with '-' written as
+    `--snr=GRID`: argparse reads a token such as -5:5:5, which starts with
+    '-' and is not a plain number, as a flag rather than as a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--snr" and token.startswith("-") and ":" in token:
+            out[-1] = f"--snr={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _attach_snr_values(sys.argv[1:] if argv is None else argv)
     args = vars(_build_parser().parse_args(argv))
     try:
         spec = build_spec(_load_config(args.pop("config")), args)

@@ -31,7 +31,7 @@ from .bounds import ScalingPolicy, ThroughputCurve, zf_perfect_sum_rate
 from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
-from .quantizer import (MAX_CODEBOOK_BITS, generate_codebook, quantize,
+from .quantizer import (MAX_CODEBOOK_BITS, expected_error, generate_codebook, quantize,
                         sample_quantized_pair)
 
 BRUTE_FORCE = "brute_force"
@@ -194,6 +194,16 @@ def _sum_rate(H: np.ndarray, vectors: np.ndarray, P: float) -> np.ndarray:
     return np.log2(1.0 + signal / (1.0 + interference)).sum(axis=-1)
 
 
+def _error_sum(H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+    """Per-trial sum of the users' quantization errors Z_i = 1 - |h_dir_i^H
+    h_hat_i|^2, each clamped to [0, 1], for channel rows H and unit
+    directions h_hat of shape (trials, K, M)."""
+    dirs = H / np.linalg.norm(H, axis=-1, keepdims=True)
+    # a 1 x M by M x 1 product sums as np.vdot does, which einsum would not
+    cos = (dirs.conj()[..., None, :] @ h_hat[..., :, None])[..., 0, 0]
+    return np.clip(1.0 - (cos.real * cos.real + cos.imag * cos.imag), 0.0, 1.0).sum(axis=-1)
+
+
 def _log2(x: np.ndarray) -> np.ndarray:
     """math.log2 elementwise.  The single-user and baseline rates have
     always been math.log2 values, from which np.log2's SIMD kernel differs
@@ -251,6 +261,13 @@ def _zf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
     """Quantized-ZF sum rates and, as their control variate, the
     perfect-CSIT ZF sum rates on the same channels: shape (trials, 2)."""
     return np.stack([_mu_rates(cfg, P, H, h_hat), _mu_rates(cfg, P, H, H)], axis=-1)
+
+
+def _rzf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
+                           h_hat: np.ndarray) -> np.ndarray:
+    """Quantized-RZF sum rates and, as their control variate, the sum of
+    the users' quantization errors on the same draws: shape (trials, 2)."""
+    return np.stack([_mu_rates(cfg, P, H, h_hat), _error_sum(H, h_hat)], axis=-1)
 
 
 def _gap_rates(cfg: SimConfig, P: float, H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
@@ -345,9 +362,9 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     Every trial retries its draw while the beamformer build is singular and
     the discarded draws are counted per point.  Curves with feedback=False
     (the baselines) never resolve feedback bits, so they need no policy.
-    With control(P), the exact mean of a control variate at power P,
-    evaluate returns (trials, 2) rows of rate and control, and each point
-    reports the regression estimate.
+    With control(P, B), the exact mean of a control variate at power P and
+    resolved bits B, evaluate returns (trials, 2) rows of rate and control,
+    and each point reports the regression estimate.
     """
     means, errs, bits, resamples = [], [], [], []
     for snr_db in cfg.snr_grid_db:
@@ -359,7 +376,7 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
             mean, err = _plain_estimate(values)
         else:  # each column contiguous, so its sums run in the plain estimate's order
             rates, controls = np.ascontiguousarray(values.T)
-            mean, err = _regression_estimate(rates, controls, control(P))
+            mean, err = _regression_estimate(rates, controls, control(P, B))
         means.append(mean)
         errs.append(err)
         bits.append(B)
@@ -382,16 +399,24 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     """Sum throughput M * E[log2(1 + SINR)] for the M-antenna, K=M-user
     downlink under the configured precoder and CSIT model.
 
-    Quantized-ZF points are control-variate estimates: the control is the
-    perfect-CSIT ZF sum rate on each trial's own channel, whose mean is
-    known in closed form (bounds.zf_perfect_sum_rate).
+    Quantized-CSIT points are control-variate (regression) estimates, with
+    a control computed on each trial's own draw whose mean is exact.  For
+    ZF it is the perfect-CSIT ZF sum rate on the same channel, with mean
+    bounds.zf_perfect_sum_rate(P, M).  For RZF it is the users' summed
+    quantization errors Z_i = 1 - |h_dir_i^H h_hat_i|^2, with mean
+    K * quantizer.expected_error(M, B) at the point's resolved bits B (on
+    the brute path, B rounded up), since both paths draw each Z_i from the
+    random-codebook law.  Perfect-CSIT points are plain means.
     """
     _require_square(cfg)
     label = label or f"{cfg.precoder.lower()}_{cfg.csit}"
-    if cfg.csit == "quantized" and cfg.precoder == ZF:
+    if cfg.csit == "perfect":
+        return _curve(cfg, label, _mu_draw, _mu_rates)
+    if cfg.precoder == ZF:
         return _curve(cfg, label, _mu_draw, _zf_rates_and_control,
-                      control=lambda P: zf_perfect_sum_rate(P, cfg.M))
-    return _curve(cfg, label, _mu_draw, _mu_rates)
+                      control=lambda P, B: zf_perfect_sum_rate(P, cfg.M))
+    return _curve(cfg, label, _mu_draw, _rzf_rates_and_control,
+                  control=lambda P, B: cfg.K * expected_error(cfg.M, B))
 
 
 def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:

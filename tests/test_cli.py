@@ -309,6 +309,25 @@ class TestSweepCommand:
     def test_missing_bits_is_config_error(self):
         assert main(["sweep", "--M", "2", "--trials", "10", "--snr", "0:5:5"]) == 2
 
+    @pytest.mark.parametrize("snr", [["--snr", "-5:5:5"], ["--snr=-5:5:5"]])
+    def test_negative_snr_grid(self, snr, capsys):
+        # the spaced form too: argparse alone reads -5:5:5 as a flag
+        assert main(["sweep", "--M", "2", "--B", "4", "--trials", "8", *snr,
+                     "--out", "-"]) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [float(r.split(",")[7]) for r in rows] == [-5.0, 0.0, 5.0]
+
+    def test_negative_snr_grid_in_a_config_file(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"command": "sweep", "M": 2, "B": 4, "snr": "-5:5:5"}))
+        assert main(["sweep", "--config", str(p), "--trials", "8", "--out", "-"]) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [float(r.split(",")[7]) for r in rows] == [-5.0, 0.0, 5.0]
+
+    def test_bad_negative_snr_grid_is_exit_2(self, capsys):
+        assert main(["sweep", "--M", "2", "--trials", "8", "--snr", "-5:5:-10"]) == 2
+        assert "snr needs step > 0 and hi >= lo" in capsys.readouterr().err
+
     def test_bit_range_rejected_for_sweep(self):
         assert main(["sweep", "--M", "2", "--scaling", "fixed", "--B", "2..4",
                      "--trials", "10", "--snr", "0:5:5"]) == 2
@@ -343,6 +362,12 @@ class TestFigureCommand:
         by_label = {r[1]: float(r[8]) for r in rows}
         assert by_label["miso_csit_reference"] > by_label["miso_fb_approx_reference"]
         assert by_label["miso_csit_reference"] > by_label["miso_nocsit_reference"]
+
+    @pytest.mark.parametrize("snr", [["--snr", "-5:5:5"], ["--snr=-5:5:5"]])
+    def test_negative_snr_grid(self, snr, capsys):
+        assert main(["figure", "compare44", "--trials", "8", *snr, "--out", "-"]) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [float(r.split(",")[7]) for r in rows] == [-5.0, 0.0, 5.0] * 3
 
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -522,9 +547,11 @@ class TestModuleEntryPoint:
         ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",
          "--trials", "20"],
         ["figure", "fixed5x5", "--trials", "2"],
+        ["figure", "compare88", "--trials", "2"],
     ])
     def test_zf_runs_leave_scipy_unloaded(self, argv):
-        # the ZF inverse and its singularity test run on numpy alone
+        # the ZF inverse and its singularity test, and the RZF control's
+        # mean, run on numpy alone
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fbmimo.cli import main; "
              f"code = main({argv + ['--out', '-']!r}); "

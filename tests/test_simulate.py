@@ -13,7 +13,8 @@ from fbmimo.bounds import ScalingPolicy, zf_perfect_sum_rate
 from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
-from fbmimo.quantizer import generate_codebook, quantize, sample_quantized_pair
+from fbmimo.quantizer import (expected_error, generate_codebook, quantize,
+                              sample_quantized_pair)
 from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig,
                              miso_feedback_throughput, mu_throughput, random_bf_throughput,
                              rate_gap, tdma_throughput, trial_streams)
@@ -257,8 +258,9 @@ class TestErrorBars:
 
 
 class TestControlVariate:
-    """Quantized-ZF points use the perfect-CSIT ZF rate on each trial's own
-    channel as a control variate with its closed-form mean."""
+    """Quantized-CSIT points use a control variate on each trial's own draw
+    with an exact mean: the perfect-CSIT ZF rate for ZF, the users' summed
+    quantization errors for RZF."""
 
     def test_estimate_is_the_least_squares_intercept(self):
         gen = RngStream(23, 0).generator()
@@ -286,17 +288,46 @@ class TestControlVariate:
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 1.5
 
-    def test_std_err_coverage(self):
+    def test_rzf_variance_cut_at_zero_bits(self):
+        # M=4, B=0, 0 dB: a one-word codebook leaves Z ~ Beta(3, 1), which
+        # drives most of the rate's variance
+        cfg = _cfg(M=4, K=4, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF,
+                   trials=3000)
+        rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 0.0),
+                               lambda *arrays: sim._mu_rates(cfg, 1.0, *arrays))
+        plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
+        assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 2.0
+
+    @pytest.mark.parametrize("path, B, trials", [(FAST_DECOMPOSITION, 2.5, 4000),
+                                                 (BRUTE_FORCE, 3.0, 2000)])
+    def test_error_sum_has_the_closed_form_mean(self, path, B, trials):
+        # Bound fixed before the first run: the mean of the engine's
+        # per-trial control is within 4 of its std_errs of K E[Z]
+        # (two-sided normal tail 6e-5).
+        cfg = _cfg(M=4, K=4, precoder=RZF, path=path, trials=trials)
+        values, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, B),
+                                lambda *arrays: sim._rzf_rates_and_control(cfg, 10.0, *arrays))
+        control = values[:, 1]
+        err = control.std(ddof=1) / math.sqrt(trials)
+        assert abs(control.mean() - cfg.K * expected_error(cfg.M, B)) <= 4.0 * err
+
+    @pytest.mark.parametrize("overrides", [
+        dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10)),
+        dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF)],
+        ids=["zf", "rzf"])
+    def test_std_err_coverage(self, overrides):
         # Bounds fixed before the first run: the estimate's distance to a
         # long plain-MC reference, over the hypot of both std_errs, is
         # about t(298); 60 seeds cover within 3 sigma with p = 0.9971 and
         # within 1 sigma with p = 0.682, so P(3-sigma hits < 57) = 3e-5
         # and P(1-sigma hits outside 30..52) = 1.4e-3.
-        cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=300)
+        cfg = _cfg(M=4, K=4, trials=300, **overrides)
+        (snr_db,) = cfg.snr_grid_db
+        P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
         ref_trials = 60_000
         reference, _ = sim._trials(ref_trials, 10_000,
-                                   lambda gens: sim._mu_draw(gens, cfg, 10.0),
-                                   lambda *arrays: sim._mu_rates(cfg, 10.0, *arrays))
+                                   lambda gens: sim._mu_draw(gens, cfg, B),
+                                   lambda *arrays: sim._mu_rates(cfg, P, *arrays))
         want = reference.mean()
         want_err = reference.std(ddof=1) / math.sqrt(ref_trials)
         within = []
@@ -351,6 +382,22 @@ def _one_zf_and_control(gen, cfg, P, B):
     H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
     return (_one_sum_rate(H, zf_beamformers(h_hat.conj()), P),
             _one_sum_rate(H, zf_beamformers(H.conj()), P))
+
+
+def _one_rzf_and_control(gen, cfg, P, B):
+    # quantized RZF's rate and the users' summed quantization errors
+    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+    dirs = H / np.linalg.norm(H, axis=-1, keepdims=True)
+    cos = np.array([np.vdot(dirs[i], h_hat[i]) for i in range(cfg.K)])
+    z = np.clip(1.0 - (cos.real * cos.real + cos.imag * cos.imag), 0.0, 1.0)
+    return _one_sum_rate(H, rzf_beamformers(h_hat.conj(), P), P), float(z.sum())
+
+
+# the exact mean of each oracle's control variate
+_CONTROL_MEANS = {
+    _one_zf_and_control: lambda cfg, P, B: zf_perfect_sum_rate(P, cfg.M),
+    _one_rzf_and_control: lambda cfg, P, B: cfg.K * expected_error(cfg.M, B),
+}
 
 
 def _one_gap(gen, cfg, P, B):
@@ -413,12 +460,12 @@ _ORACLE_CASES = {
                     dict(csit="perfect", precoder=RZF)),
     "zf_fast": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
                 sim._zf_rates_and_control, dict(policy=_SCALED_BITS)),
-    "rzf_fast": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
-                 dict(policy=_SCALED_BITS, precoder=RZF)),
+    "rzf_fast": (sim.mu_throughput, _one_rzf_and_control, sim._mu_draw,
+                 sim._rzf_rates_and_control, dict(policy=_SCALED_BITS, precoder=RZF)),
     "zf_brute": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
                  sim._zf_rates_and_control, dict(path=BRUTE_FORCE)),
-    "rzf_brute": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
-                  dict(path=BRUTE_FORCE, precoder=RZF)),
+    "rzf_brute": (sim.mu_throughput, _one_rzf_and_control, sim._mu_draw,
+                  sim._rzf_rates_and_control, dict(path=BRUTE_FORCE, precoder=RZF)),
     "rate_gap": (sim.rate_gap, _one_gap, sim._mu_draw, sim._gap_rates,
                  dict(policy=_SCALED_BITS)),
     "miso_fast": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
@@ -449,10 +496,10 @@ class TestStackedEnginesMatchOneTrialAtATime:
                                          lambda *arrays: evaluate(cfg, P, *arrays))
             np.testing.assert_array_equal(got, want)
             assert discarded == want_discarded == curve.resamples[j]
-            if want.ndim == 2:  # quantized ZF: rates and their control variate
+            if want.ndim == 2:  # quantized CSIT: rates and their control variate
                 rates, controls = np.ascontiguousarray(want.T)
                 mean, err = sim._regression_estimate(rates, controls,
-                                                     zf_perfect_sum_rate(P, cfg.M))
+                                                     _CONTROL_MEANS[one](cfg, P, B))
             else:
                 mean, err = want.mean(), want.std(ddof=1) / math.sqrt(cfg.trials)
             assert curve.mean_bps_hz[j] == mean
