@@ -266,15 +266,25 @@ def horizontal_offset_db(reference: ThroughputCurve, degraded: ThroughputCurve,
     return float(np.mean(offsets))
 
 
-def _exp_e1(x: float) -> float:
-    """e^x E1(x) for x > 0, with E1 the exponential integral.
+def _exp_en(n: int, x: float) -> float:
+    """e^x E_n(x) for integer n >= 1 and x > 0, with E_n the generalized
+    exponential integral.
 
-    Up to x = 1 the power series E1(x) = -gamma - ln x - sum (-x)^k/(k k!);
-    above, the continued fraction 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))) by the
-    modified Lentz method (Press et al., Numerical Recipes, 3rd ed., 6.3).
+    Up to x = 1, the power series E1(x) = -gamma - ln x - sum (-x)^k/(k k!)
+    and then the upward recurrence e^x E_(k+1)(x) = (1 - x e^x E_k(x))/k,
+    which damps errors while x <= k.  Above, the continued fraction
+    1/(x+n - 1 n/(x+n+2 - 2 (n+1)/(x+n+4 - ...))) by the modified Lentz
+    method (Press et al., Numerical Recipes, 3rd ed., 6.3), which never
+    forms e^x.  Past x = 1e15 the fraction's first term 1/(x+n) is the
+    value to rounding; the Lentz loop would stall from x = 1.8e16, where
+    b + 2 rounds back to b.  Against a 30-digit mpmath reference the worst
+    relative error over n = 1..65, x in [1e-8, 1e5] is 7e-15, at x just
+    above 1.
     """
     if not x > 0.0:
         raise DomainError(f"x must be > 0, got {x}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if x <= 1.0:
         total, term, k = 0.0, 1.0, 0
         while True:
@@ -282,15 +292,19 @@ def _exp_e1(x: float) -> float:
             term *= -x / k  # (-x)^k / k!
             total -= term / k
             if abs(term / k) <= 1e-17 * abs(total):
-                return math.exp(x) * (total - np.euler_gamma - math.log(x))
-    if math.isinf(x):
-        return 0.0
-    b = x + 1.0
+                break
+        value = math.exp(x) * (total - np.euler_gamma - math.log(x))
+        for k in range(1, n):
+            value = (1.0 - x * value) / k
+        return value
+    if x > 1e15:  # the fraction's first term, within n/x^2 relative
+        return 1.0 / (x + n)
+    b = x + n
     c, d = math.inf, 1.0 / b
     value, i = d, 0
     while True:
         i += 1
-        a = -float(i * i)
+        a = -float(i * (n - 1 + i))
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
@@ -310,7 +324,54 @@ def zf_perfect_sum_rate(P: float, M: int) -> float:
         raise DomainError(f"P must be >= 0, got {P}")
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
-    return M * LOG2E * _exp_e1(M / P) if P > 0.0 else 0.0
+    return M * LOG2E * _exp_en(1, M / P) if P > 0.0 else 0.0
+
+
+def random_bf_sum_rate(P: float, M: int, K: int) -> float | None:
+    """Mean of R = sum_m log2(1 + max_k SINR_km) over M random orthonormal
+    beams at power P/M each and K users, or None where the sum below
+    cancels too far to be trusted.
+
+    R lets every beam serve its best user, even one that is best on another
+    beam too.  For a fixed beam the K users' SINRs are iid with CDF
+    F(x) = 1 - e^(-x/rho)/(1+x)^(M-1), rho = P/M (Sharif and Hassibi, IEEE
+    Trans. IT, 2005), so E[R] = (M/ln 2) int (1 - F(x)^K)/(1+x) dx, and
+    expanding 1 - F^K gives
+    (M/ln 2) sum_{j=1}^K (-1)^(j+1) C(K, j) e^(j/rho) E_{j(M-1)+1}(j/rho).
+    The terms alternate and grow with K, so the sum cancels.  It is
+    returned only when sum |t_j| 2^-52 <= 1e-12 |sum t_j|.  Against an
+    mpmath quadrature over -10..40 dB it is within 2e-14 at (M, K) = (8, 8),
+    (4, 10), (4, 4) and (2, 2), where sum |t_j| / |sum t_j| is at most 89;
+    the test rejects (2, 20) (ratio 4.6e4, 3e-11 off), (4, 40) (6e-6 off)
+    and (8, 64) (off by more than the mean).  Since each SINR is at most
+    rho times an Exp(1) gain, |sum t_j| <= ln(1 + rho H_K) <=
+    ln(1 + rho (1 + ln K)), so the loop gives up as soon as the terms so
+    far are too large for any sum below that.
+    """
+    if not P >= 0.0:
+        raise DomainError(f"P must be >= 0, got {P}")
+    if M < 1 or K < 1:
+        raise DomainError(f"M and K must be >= 1, got M={M}, K={K}")
+    if P == 0.0:
+        return 0.0
+    if math.isinf(P):
+        return None
+    limit = 1e-12 * 2.0 ** 52  # the largest sum |t_j| / |sum t_j| accepted
+    cap = limit * math.log1p(P / M * (1.0 + math.log(K)))
+    terms, size = [], 0.0
+    for j in range(1, K + 1):
+        count = math.comb(K, j)
+        if count > 1e308:  # beyond floats, and far beyond the cap
+            return None
+        term = count * _exp_en(j * (M - 1) + 1, j * M / P)  # j / rho
+        size += term
+        if size > cap:
+            return None
+        terms.append(term if j % 2 else -term)
+    total = math.fsum(terms)
+    if math.fsum(map(abs, terms)) > limit * abs(total):
+        return None
+    return M * LOG2E * total
 
 
 class MisoReference(NamedTuple):
@@ -319,18 +380,13 @@ class MisoReference(NamedTuple):
     r_fb_approx: float
 
 
-_QUAD_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _ergodic_rate(p_eff: float, M: int, n_nodes: int = 160) -> float:
-    """E[log2(1 + p_eff * X)] for X ~ Gamma(M, 1), by generalized
-    Gauss-Laguerre quadrature with weight x^(M-1) e^(-x)."""
-    if M not in _QUAD_NODES:
-        from scipy.special import roots_genlaguerre  # scipy stays off the import path
-        x, w = roots_genlaguerre(n_nodes, M - 1)
-        _QUAD_NODES[M] = (x, w / math.gamma(M))
-    x, w = _QUAD_NODES[M]
-    return float(np.sum(w * np.log2(1.0 + p_eff * x)))
+def _ergodic_rate(p_eff: float, M: int) -> float:
+    """E[log2(1 + p_eff * X)] for X ~ Gamma(M, 1), which is
+    log2(e) sum_{k=1}^M e^(1/p_eff) E_k(1/p_eff), and 0 at p_eff = 0."""
+    if p_eff == 0.0:
+        return 0.0
+    x = 1.0 / p_eff
+    return LOG2E * sum(_exp_en(k, x) for k in range(1, M + 1))
 
 
 def miso_reference(P: float, M: int, B: float) -> MisoReference:

@@ -497,12 +497,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _attach_snr_values(argv: list[str]) -> list[str]:
     """argv with each `--snr GRID` whose GRID starts with '-' written as
-    `--snr=GRID`: argparse reads a token such as -5:5:5, which starts with
-    '-' and is not a plain number, as a flag rather than as a value."""
+    `--snr=GRID`, and likewise after an abbreviation such as --sn: argparse
+    reads a token such as -5:5:5, which starts with '-' and is not a plain
+    number, as a flag rather than as a value.  The ambiguous --s (--seed,
+    --scaling) stays an error either way."""
     out = []
     for token in argv:
-        if out and out[-1] == "--snr" and token.startswith("-") and ":" in token:
-            out[-1] = f"--snr={token}"
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--snr".startswith(flag) and token.startswith("-") and ":" in token:
+            out[-1] = f"{flag}={token}"
         else:
             out.append(token)
     return out

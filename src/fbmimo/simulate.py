@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ScalingPolicy, ThroughputCurve, zf_perfect_sum_rate
+from .bounds import ScalingPolicy, ThroughputCurve, random_bf_sum_rate, zf_perfect_sum_rate
 from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -311,6 +311,9 @@ def _random_bf_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
 
 
 def _random_bf_rates(cfg: SimConfig, P: float, H: np.ndarray, beams: np.ndarray) -> np.ndarray:
+    """Random-beamforming sum rates and, as their control variate, the sum
+    over beams of log2(1 + the beam's best SINR) on the same draw, where a
+    user may be best on several beams: shape (trials, 2)."""
     gains = np.abs(H.conj() @ beams) ** 2
     per_stream = P / cfg.M
     sig = per_stream * gains
@@ -321,7 +324,8 @@ def _random_bf_rates(cfg: SimConfig, P: float, H: np.ndarray, beams: np.ndarray)
     # each beam's highest claim; an unclaimed beam adds log2(1 + 0) = 0,
     # and the beams' rates are summed in order, as one float at a time
     claims = np.where(best_beam[..., None] == np.arange(cfg.M), best_val, 0.0).max(axis=-2)
-    return np.add.accumulate(_log2(1.0 + claims), axis=-1)[..., -1]
+    rates = np.add.accumulate(_log2(1.0 + claims), axis=-1)[..., -1]
+    return np.stack([rates, np.log2(1.0 + sinr_table.max(axis=-2)).sum(axis=-1)], axis=-1)
 
 
 def _plain_estimate(rates: np.ndarray) -> tuple[float, float]:
@@ -331,16 +335,18 @@ def _plain_estimate(rates: np.ndarray) -> tuple[float, float]:
 
 
 def _regression_estimate(rates: np.ndarray, control: np.ndarray,
-                         control_mean: float) -> tuple[float, float]:
+                         control_mean: float | None) -> tuple[float, float]:
     """Control-variate estimate of the mean of `rates`, and its std_err.
 
     mean(rates) - beta (mean(control) - control_mean) with the least-squares
     beta, and the residuals' standard deviation on n - 2 degrees of freedom
     over sqrt(n) (Glasserman, Monte Carlo Methods in Financial Engineering,
-    2004, section 4.1).  Below 3 trials, or for a constant control, the
-    plain mean and std_err.
+    2004, section 4.1).  Below 3 trials, for a constant control, or with no
+    control_mean (None), the plain mean and std_err.
     """
     n = len(rates)
+    if control_mean is None:
+        return _plain_estimate(rates)
     control_bar = float(control.mean())
     dc = control - control_bar
     sxx = float((dc * dc).sum())
@@ -364,7 +370,8 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     (the baselines) never resolve feedback bits, so they need no policy.
     With control(P, B), the exact mean of a control variate at power P and
     resolved bits B, evaluate returns (trials, 2) rows of rate and control,
-    and each point reports the regression estimate.
+    and each point reports the regression estimate, or the plain one where
+    control(P, B) is None.
     """
     means, errs, bits, resamples = [], [], [], []
     for snr_db in cfg.snr_grid_db:
@@ -451,11 +458,21 @@ def tdma_throughput(cfg: SimConfig, label: str = "tdma") -> ThroughputCurve:
 
 def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> ThroughputCurve:
     """M random orthonormal beams; each user reports its best beam's SINR,
-    each beam goes to the highest reporter, unclaimed beams send nothing."""
+    each beam goes to the highest reporter, unclaimed beams send nothing.
+
+    Points are control-variate (regression) estimates.  The control is
+    R = sum_m log2(1 + max_k SINR_km), the rate if every beam served its
+    best user even where that user is best on another beam too, with mean
+    bounds.random_bf_sum_rate(P, M, K).  Where that alternating sum cancels
+    too far to trust (large K; it returns None), and at M = 1, where the
+    rate is R itself and the point would be the closed form with std_err 0,
+    points are plain means.
+    """
     if cfg.K < cfg.M:
         raise ConfigError(f"random beamforming requires K >= M, got K={cfg.K}, M={cfg.M}")
     return _curve(cfg, label, _random_bf_draw, _random_bf_rates,
-                  policy="random_bf/max-sinr-claim", precoder="BF", feedback=False)
+                  policy="random_bf/max-sinr-claim", precoder="BF", feedback=False,
+                  control=lambda P, B: random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1 else None)
 
 
 def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from scipy import integrate, special
 from fbmimo import bounds
 from fbmimo.bounds import (ScalingPolicy, ThroughputCurve, ceiling_fixed_B, feedback_bits,
                            fit_multiplexing_gain, horizontal_offset_db, miso_reference,
-                           mux_gain_prediction, rate_gap_bound, rvq_bit_penalty,
-                           zf_dpc_power_offset_db, zf_perfect_sum_rate)
+                           mux_gain_prediction, random_bf_sum_rate, rate_gap_bound,
+                           rvq_bit_penalty, zf_dpc_power_offset_db, zf_perfect_sum_rate)
 from fbmimo.errors import DomainError, InsufficientDataError
 from fbmimo.numerics import LOG2E, LOG2_10
 
@@ -273,7 +274,7 @@ class TestZfPerfectSumRate:
     def test_exp_e1_matches_scipy(self):
         xs = [*np.geomspace(1e-8, 1e3, 500), 1.0, np.nextafter(1.0, 0.0),
               np.nextafter(1.0, 2.0)]
-        worst = max(abs(bounds._exp_e1(x) / _exp_e1_oracle(x) - 1.0) for x in xs)
+        worst = max(abs(bounds._exp_en(1, x) / _exp_e1_oracle(x) - 1.0) for x in xs)
         assert worst <= 1e-13
 
     def test_equals_ergodic_rate_of_unit_exponential_gains(self):
@@ -293,4 +294,135 @@ class TestZfPerfectSumRate:
             zf_perfect_sum_rate(10.0, 0)
         for x in (0.0, math.nan):
             with pytest.raises(DomainError):
-                bounds._exp_e1(x)
+                bounds._exp_en(1, x)
+
+
+def _old_exp_e1(x: float) -> float:
+    # bounds._exp_e1 as it was before _exp_en generalized it, for the
+    # bit-identity check below
+    if x <= 1.0:
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= -x / k
+            total -= term / k
+            if abs(term / k) <= 1e-17 * abs(total):
+                return math.exp(x) * (total - np.euler_gamma - math.log(x))
+    b = x + 1.0
+    c, d = math.inf, 1.0 / b
+    value, i = d, 0
+    while True:
+        i += 1
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        value *= delta
+        if abs(delta - 1.0) <= 1e-16:
+            return value
+
+
+def _exp_en_oracle(n: int, x: float) -> mp.mpf:
+    # e^x E_n(x) by the upward recurrence from mpmath's e^x E_1(x), with
+    # enough extra digits to absorb the recurrence's growth x^n/n! for
+    # x > n.  mpmath's own expint is not used: at 30 digits mpmath 1.3.0
+    # gives expint(30, 100) 1.3e-13 off (its quadrature and this recurrence
+    # agree), and expint(65, 227) does not return within minutes.
+    x = mp.mpf(x)
+    with mp.workdps(40 + (int(n * mp.log10(x)) if x > 1 else 0)):
+        value = mp.exp(x) * mp.e1(x)
+        for k in range(1, n):
+            value = (1 - x * value) / k
+        return +value
+
+
+_AROUND_ONE = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+
+
+class TestExpEn:
+    def test_matches_mpmath(self):
+        # bound fixed before the first run: 1e-13 relative, as for e^x E1(x)
+        xs = [*np.geomspace(1e-8, 1e5, 80), *_AROUND_ONE]
+        worst = max(abs(float(bounds._exp_en(n, x) / _exp_en_oracle(n, x)) - 1.0)
+                    for n in range(1, 66) for x in xs)
+        assert worst <= 1e-13
+
+    def test_order_one_keeps_the_old_bits(self):
+        # zf_perfect_sum_rate, and with it the ZF control's mean, must not move
+        for x in [*np.geomspace(1e-8, 1e15, 2000), *_AROUND_ONE]:
+            assert bounds._exp_en(1, x) == _old_exp_e1(x)
+
+    def test_huge_arguments_end(self):
+        # the old loop never ended from x = 1.8e16 (b + 2 == b)
+        for n in (1, 8, 500):
+            for x in (1e16, 1.9e16, 1e17, 1e300, math.inf):
+                assert bounds._exp_en(n, x) == 1.0 / (x + n)
+
+    def test_domain(self):
+        for n, x in ((1, 0.0), (1, -1.0), (2, math.nan), (0, 1.0)):
+            with pytest.raises(DomainError):
+                bounds._exp_en(n, x)
+
+
+class TestErgodicRate:
+    def test_matches_mpmath_quadrature(self):
+        # E[log2(1 + p X)], X ~ Gamma(M, 1), against a 30-digit quadrature;
+        # bound fixed before the first run: 1e-13 relative.  The 160-node
+        # Gauss-Laguerre rule it replaces was 4e-4 off at M=1, 2.5e-6 at M=2.
+        mp.mp.dps = 30
+        try:
+            for m in range(1, 9):
+                for p in np.geomspace(1e-6, 1e6, 13):
+                    q = mp.mpf(float(p))
+                    density = lambda x: x ** (m - 1) * mp.exp(-x) / mp.factorial(m - 1)
+                    edges = sorted({0, 1 / q, 1, m, 4 * m, 16 * m})
+                    want = mp.quad(lambda x: mp.log1p(q * x) * density(x),
+                                   [*edges, mp.inf]) / mp.log(2)
+                    got = bounds._ergodic_rate(float(p), m)
+                    assert abs(float(got / want) - 1.0) <= 1e-13, (m, p)
+        finally:
+            mp.mp.dps = 15
+
+    def test_zero_power(self):
+        assert bounds._ergodic_rate(0.0, 4) == 0.0
+        assert miso_reference(10.0, 4, 0).r_fb_approx == 0.0  # 1 - 2^0 = 0
+
+
+def _random_bf_oracle(P: float, M: int, K: int) -> mp.mpf:
+    # M/ln 2 times the integral of (1 - F^K)/(1 + x), F the SINR CDF
+    rho = mp.mpf(P) / M
+    F = lambda x: 1 - mp.exp(-x / rho) / (1 + x) ** (M - 1)
+    edges = sorted({0, 1, 10, rho / 10, rho, 10 * rho, 100 * rho})
+    return M * mp.quad(lambda x: (1 - F(x) ** K) / (1 + x), [*edges, mp.inf]) / mp.log(2)
+
+
+class TestRandomBfSumRate:
+    @pytest.mark.parametrize("M, K", [(8, 8), (4, 4), (4, 10), (2, 2)])
+    def test_matches_mpmath_quadrature(self, M, K):
+        # bound fixed before the first run: 1e-12 relative, the accuracy
+        # the cancellation guard admits
+        mp.mp.dps = 30
+        try:
+            for snr_db in range(-10, 45, 5):
+                P = 10.0 ** (snr_db / 10.0)
+                got = random_bf_sum_rate(P, M, K)
+                assert got is not None
+                assert abs(float(got / _random_bf_oracle(P, M, K)) - 1.0) <= 1e-12, snr_db
+        finally:
+            mp.mp.dps = 15
+
+    @pytest.mark.parametrize("M, K", [(2, 20), (4, 40), (8, 64), (8, 2000), (2, 2000),
+                                      (1, 2000)])
+    def test_guard_rejects_cancelling_sums(self, M, K):
+        # C(2000, 1000) alone is past the float range; nothing may raise
+        for P in (1e-300, 1e-3, 1.0, 100.0, 1e4, 1e300):
+            assert random_bf_sum_rate(P, M, K) is None
+
+    def test_edges_and_domain(self):
+        assert random_bf_sum_rate(0.0, 4, 4) == 0.0
+        assert random_bf_sum_rate(math.inf, 4, 4) is None
+        assert random_bf_sum_rate(5e-324, 4, 4) == 0.0  # every j M/P is inf
+        for args in ((-1.0, 4, 4), (math.nan, 4, 4), (1.0, 0, 4), (1.0, 4, 0)):
+            with pytest.raises(DomainError):
+                random_bf_sum_rate(*args)

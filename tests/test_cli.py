@@ -309,9 +309,11 @@ class TestSweepCommand:
     def test_missing_bits_is_config_error(self):
         assert main(["sweep", "--M", "2", "--trials", "10", "--snr", "0:5:5"]) == 2
 
-    @pytest.mark.parametrize("snr", [["--snr", "-5:5:5"], ["--snr=-5:5:5"]])
+    @pytest.mark.parametrize("snr", [["--snr", "-5:5:5"], ["--snr=-5:5:5"],
+                                     ["--sn", "-5:5:5"], ["--sn=-5:5:5"]])
     def test_negative_snr_grid(self, snr, capsys):
-        # the spaced form too: argparse alone reads -5:5:5 as a flag
+        # the spaced forms too, after the abbreviation --sn as well:
+        # argparse alone reads -5:5:5 as a flag
         assert main(["sweep", "--M", "2", "--B", "4", "--trials", "8", *snr,
                      "--out", "-"]) == 0
         _, *rows = capsys.readouterr().out.splitlines()
@@ -363,11 +365,25 @@ class TestFigureCommand:
         assert by_label["miso_csit_reference"] > by_label["miso_fb_approx_reference"]
         assert by_label["miso_csit_reference"] > by_label["miso_nocsit_reference"]
 
-    @pytest.mark.parametrize("snr", [["--snr", "-5:5:5"], ["--snr=-5:5:5"]])
+    @pytest.mark.parametrize("snr", [["--snr", "-5:5:5"], ["--snr=-5:5:5"],
+                                     ["--sn", "-5:5:5"]])
     def test_negative_snr_grid(self, snr, capsys):
         assert main(["figure", "compare44", "--trials", "8", *snr, "--out", "-"]) == 0
         _, *rows = capsys.readouterr().out.splitlines()
         assert [float(r.split(",")[7]) for r in rows] == [-5.0, 0.0, 5.0] * 3
+
+    def test_abbreviated_snr_flag(self, capsys):
+        assert main(["figure", "compare44", "--trials", "8", "--sn", "0:5:5", "--out", "-"]) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [float(r.split(",")[7]) for r in rows] == [0.0, 5.0] * 3
+
+    @pytest.mark.parametrize("snr", [["--s", "-5:5:5"], ["--s", "0:5:5"]])
+    def test_ambiguous_snr_abbreviation_is_a_usage_error(self, snr, capsys):
+        # --s also starts --seed, so argparse rejects it whatever follows
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "compare44", "--trials", "8", *snr, "--out", "-"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --s" in capsys.readouterr().err
 
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -548,10 +564,11 @@ class TestModuleEntryPoint:
          "--trials", "20"],
         ["figure", "fixed5x5", "--trials", "2"],
         ["figure", "compare88", "--trials", "2"],
+        ["figure", "miso4x1", "--trials", "2"],
     ])
     def test_zf_runs_leave_scipy_unloaded(self, argv):
-        # the ZF inverse and its singularity test, and the RZF control's
-        # mean, run on numpy alone
+        # the ZF inverse and its singularity test, the RZF and random-BF
+        # controls' means and the miso references run on numpy alone
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fbmimo.cli import main; "
              f"code = main({argv + ['--out', '-']!r}); "

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from fbmimo import numerics
 from fbmimo import simulate as sim
-from fbmimo.bounds import ScalingPolicy, zf_perfect_sum_rate
+from fbmimo.bounds import ScalingPolicy, random_bf_sum_rate, zf_perfect_sum_rate
 from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -242,6 +242,22 @@ class TestRandomBf:
         a = random_bf_throughput(cfg)
         assert np.array_equal(a.mean_bps_hz, random_bf_throughput(cfg).mean_bps_hz)
 
+    @pytest.mark.parametrize("M, K", [(8, 64), (8, 2000), (1, 3)])
+    def test_plain_mean_without_a_trusted_control(self, M, K):
+        # the closed form cancels too far at (8, 64) and (8, 2000); at M = 1
+        # the rate is the control itself
+        cfg = SimConfig(M=M, K=K, snr_grid_db=(0.0, 20.0), csit="perfect", trials=20, seed=17)
+        curve = random_bf_throughput(cfg)
+        for j, snr_db in enumerate(cfg.snr_grid_db):
+            P = 10.0 ** (snr_db / 10.0)
+            values, _ = sim._trials(cfg.trials, cfg.seed,
+                                    lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
+                                    lambda *arrays: sim._random_bf_rates(cfg, P, *arrays))
+            rates = values[:, 0].copy()
+            assert curve.mean_bps_hz[j] == rates.mean()
+            assert curve.std_err[j] == rates.std(ddof=1) / math.sqrt(cfg.trials)
+            assert M == 1 or random_bf_sum_rate(P, M, K) is None
+
 
 class TestErrorBars:
     def test_three_sigma_coverage(self):
@@ -258,9 +274,10 @@ class TestErrorBars:
 
 
 class TestControlVariate:
-    """Quantized-CSIT points use a control variate on each trial's own draw
-    with an exact mean: the perfect-CSIT ZF rate for ZF, the users' summed
-    quantization errors for RZF."""
+    """Quantized-CSIT and random-beamforming points use a control variate
+    on each trial's own draw with an exact mean: the perfect-CSIT ZF rate
+    for ZF, the users' summed quantization errors for RZF, and the sum of
+    every beam's best-user rate for random beamforming."""
 
     def test_estimate_is_the_least_squares_intercept(self):
         gen = RngStream(23, 0).generator()
@@ -311,10 +328,36 @@ class TestControlVariate:
         err = control.std(ddof=1) / math.sqrt(trials)
         assert abs(control.mean() - cfg.K * expected_error(cfg.M, B)) <= 4.0 * err
 
+    def test_random_bf_variance_cut(self):
+        # compare88's random_bf point at 10 dB (M = K = 8); bound fixed
+        # before the first run: more than 2x
+        cfg = SimConfig(M=8, K=8, snr_grid_db=(10.0,), csit="perfect", trials=3000, seed=7)
+        values, _ = sim._trials(cfg.trials, cfg.seed,
+                                lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
+                                lambda *arrays: sim._random_bf_rates(cfg, 10.0, *arrays))
+        plain_err = values[:, 0].std(ddof=1) / math.sqrt(cfg.trials)
+        assert (plain_err / random_bf_throughput(cfg).std_err[0]) ** 2 > 2.0
+
+    @pytest.mark.parametrize("M, K, snr_db", [(8, 8, 0.0), (8, 8, 20.0), (4, 10, 10.0),
+                                              (2, 2, -10.0)])
+    def test_best_beam_sum_has_the_closed_form_mean(self, M, K, snr_db):
+        # Bound fixed before the first run: the mean of the engine's
+        # per-trial control R is within 4 of its std_errs of
+        # random_bf_sum_rate (two-sided normal tail 6e-5).
+        cfg = SimConfig(M=M, K=K, snr_grid_db=(snr_db,), csit="perfect", trials=3000, seed=29)
+        P = 10.0 ** (snr_db / 10.0)
+        values, _ = sim._trials(cfg.trials, cfg.seed,
+                                lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
+                                lambda *arrays: sim._random_bf_rates(cfg, P, *arrays))
+        control = values[:, 1]
+        err = control.std(ddof=1) / math.sqrt(cfg.trials)
+        assert abs(control.mean() - random_bf_sum_rate(P, M, K)) <= 4.0 * err
+
     @pytest.mark.parametrize("overrides", [
         dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10)),
-        dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF)],
-        ids=["zf", "rzf"])
+        dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF),
+        dict(snr_grid_db=(10.0,), csit="perfect", policy=None)],
+        ids=["zf", "rzf", "random_bf"])
     def test_std_err_coverage(self, overrides):
         # Bounds fixed before the first run: the estimate's distance to a
         # long plain-MC reference, over the hypot of both std_errs, is
@@ -324,15 +367,19 @@ class TestControlVariate:
         cfg = _cfg(M=4, K=4, trials=300, **overrides)
         (snr_db,) = cfg.snr_grid_db
         P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
+        if cfg.csit == "perfect":  # the random-beamforming baseline
+            engine, draw = random_bf_throughput, sim._random_bf_draw
+            rates = lambda *arrays: sim._random_bf_rates(cfg, P, *arrays)[:, 0]
+        else:
+            engine, draw = mu_throughput, sim._mu_draw
+            rates = lambda *arrays: sim._mu_rates(cfg, P, *arrays)
         ref_trials = 60_000
-        reference, _ = sim._trials(ref_trials, 10_000,
-                                   lambda gens: sim._mu_draw(gens, cfg, B),
-                                   lambda *arrays: sim._mu_rates(cfg, P, *arrays))
+        reference, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B), rates)
         want = reference.mean()
         want_err = reference.std(ddof=1) / math.sqrt(ref_trials)
         within = []
         for seed in range(60):
-            curve = mu_throughput(dataclasses.replace(cfg, seed=seed))
+            curve = engine(dataclasses.replace(cfg, seed=seed))
             within.append(abs(curve.mean_bps_hz[0] - want) / math.hypot(curve.std_err[0], want_err))
         within = np.array(within)
         assert np.sum(within <= 3.0) >= 57
@@ -393,13 +440,6 @@ def _one_rzf_and_control(gen, cfg, P, B):
     return _one_sum_rate(H, rzf_beamformers(h_hat.conj(), P), P), float(z.sum())
 
 
-# the exact mean of each oracle's control variate
-_CONTROL_MEANS = {
-    _one_zf_and_control: lambda cfg, P, B: zf_perfect_sum_rate(P, cfg.M),
-    _one_rzf_and_control: lambda cfg, P, B: cfg.K * expected_error(cfg.M, B),
-}
-
-
 def _one_gap(gen, cfg, P, B):
     H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
     perfect = _one_beams(H.conj(), cfg.precoder, P)
@@ -436,7 +476,16 @@ def _one_random_bf(gen, cfg, P, B):
         claim = best_val[best_beam == m]
         if claim.size:
             rate += math.log2(1.0 + float(claim.max()))
-    return rate
+    # the control: every beam serves its best user, claimed or not
+    return rate, float(np.log2(1.0 + sinr_table.max(axis=0)).sum())
+
+
+# the exact mean of each oracle's control variate
+_CONTROL_MEANS = {
+    _one_zf_and_control: lambda cfg, P, B: zf_perfect_sum_rate(P, cfg.M),
+    _one_rzf_and_control: lambda cfg, P, B: cfg.K * expected_error(cfg.M, B),
+    _one_random_bf: lambda cfg, P, B: random_bf_sum_rate(P, cfg.M, cfg.K),
+}
 
 
 def _one_at_a_time(one, cfg, P, B):
@@ -496,7 +545,7 @@ class TestStackedEnginesMatchOneTrialAtATime:
                                          lambda *arrays: evaluate(cfg, P, *arrays))
             np.testing.assert_array_equal(got, want)
             assert discarded == want_discarded == curve.resamples[j]
-            if want.ndim == 2:  # quantized CSIT: rates and their control variate
+            if want.ndim == 2:  # rates and their control variate
                 rates, controls = np.ascontiguousarray(want.T)
                 mean, err = sim._regression_estimate(rates, controls,
                                                      _CONTROL_MEANS[one](cfg, P, B))
