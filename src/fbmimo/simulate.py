@@ -258,9 +258,16 @@ def _mu_rates(cfg: SimConfig, P: float, H: np.ndarray, directions: np.ndarray) -
 
 def _zf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
                           h_hat: np.ndarray) -> np.ndarray:
-    """Quantized-ZF sum rates and, as their control variate, the
-    perfect-CSIT ZF sum rates on the same channels: shape (trials, 2)."""
-    return np.stack([_mu_rates(cfg, P, H, h_hat), _mu_rates(cfg, P, H, H)], axis=-1)
+    """Quantized-ZF sum rates and, as their control variate, the sum rate
+    the same beams v_i would give if each channel lay along its quantized
+    direction, sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2): shape
+    (trials, 2).  One ZF build per stack serves both."""
+    beams = zf_beamformers(h_hat.conj())
+    # 1 x M by M x 1 products sum as np.vdot does, which einsum would not
+    gain = (h_hat.conj()[..., None, :] @ np.swapaxes(beams, -1, -2)[..., :, None])[..., 0, 0]
+    mag2 = (H.conj()[..., None, :] @ H[..., :, None])[..., 0, 0].real
+    control = np.log2(1.0 + (P / cfg.M) * mag2 * (gain.real * gain.real + gain.imag * gain.imag))
+    return np.stack([_sum_rate(H, beams, P), control.sum(axis=-1)], axis=-1)
 
 
 def _rzf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
@@ -408,12 +415,17 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
 
     Quantized-CSIT points are control-variate (regression) estimates, with
     a control computed on each trial's own draw whose mean is exact.  For
-    ZF it is the perfect-CSIT ZF sum rate on the same channel, with mean
-    bounds.zf_perfect_sum_rate(P, M).  For RZF it is the users' summed
-    quantization errors Z_i = 1 - |h_dir_i^H h_hat_i|^2, with mean
-    K * quantizer.expected_error(M, B) at the point's resolved bits B (on
-    the brute path, B rounded up), since both paths draw each Z_i from the
-    random-codebook law.  Perfect-CSIT points are plain means.
+    ZF it is sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
+    quantized ZF beams v_i the rate uses.  The h_hat_i are iid isotropic
+    (drawn so on the fast path; on the brute path the random codebook is
+    unitarily invariant), independent of every ||h_j||^2, and ZF beams
+    depend only on row directions, so it has the law of the perfect-CSIT
+    ZF sum rate and the exact mean bounds.zf_perfect_sum_rate(P, M).  For
+    RZF it is the users' summed quantization errors Z_i = 1 -
+    |h_dir_i^H h_hat_i|^2, with mean K * quantizer.expected_error(M, B) at
+    the point's resolved bits B (on the brute path, B rounded up), since
+    both paths draw each Z_i from the random-codebook law.  Perfect-CSIT
+    points are plain means.
     """
     _require_square(cfg)
     label = label or f"{cfg.precoder.lower()}_{cfg.csit}"

@@ -525,7 +525,7 @@ class TestModuleEntryPoint:
 
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported only by the functions that need it
+        # scipy is a test-only dependency; the package never imports it
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, fbmimo.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
@@ -576,6 +576,20 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+    def test_closed_form_commands_leave_scipy_unloaded(self):
+        # table's and validate's closed forms, digamma included, and
+        # miso4x1's analytic rows run on math and numpy alone
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fbmimo.cli import main; codes = ["
+             "main(['table', 'quantizer', '--M', '4', '--B', '0..20', '--out', '-']), "
+             "main(['validate', 'bounds', '--trials', '5']), "
+             "main(['figure', 'miso4x1', '--trials', '2', '--out', '-'])]; "
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 _BRUTE_CODEBOOK = ["sweep", "--engine", "mu", "--M", "4", "--csit", "quantized",

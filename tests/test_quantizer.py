@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from fbmimo.errors import CapacityError, DomainError
 from fbmimo.numerics import (LOG2E, RngStream, angle_sin2, sample_complex_gaussian,
                              sample_isotropic_unit)
-from fbmimo.quantizer import (Codebook, error_ccdf, error_upper_bound, expected_error,
+from fbmimo.quantizer import (Codebook, _digamma, error_ccdf, error_upper_bound, expected_error,
                               expected_neg_log2_error, expected_optimal_error,
                               generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
                               quantize, sample_error, sample_errors_brute,
@@ -195,6 +195,24 @@ class TestNegLog2Error:
         lo, hi = neg_log2_error_bounds(M, B)
         v = expected_neg_log2_error(M, B)
         assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
+
+    def test_digamma_matches_scipy(self):
+        # Bound fixed before the first run: within 1e-14 of scipy's
+        # digamma, relative to max(1, |psi|), on both sides of the switch
+        # to the asymptotic series at 10 and at every 2^B + 1 the
+        # closed form evaluates up to B = 500.
+        xs = np.concatenate([np.linspace(0.01, 30.0, 3001), np.geomspace(1e-6, 1e300, 600),
+                             2.0 ** np.linspace(0.0, 500.0, 1001) + 1.0])
+        got = np.array([_digamma(float(x)) for x in xs])
+        want = special.digamma(xs)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_matches_the_scipy_digamma_form(self):
+        # the closed form's former evaluation, H(2^B) = digamma(2^B + 1) + gamma
+        for M in (2, 4, 7):
+            for B in np.linspace(0.0, 500.0, 401):
+                want = LOG2E * (special.digamma(2.0 ** B + 1.0) + np.euler_gamma) / (M - 1)
+                np.testing.assert_allclose(expected_neg_log2_error(M, B), want, rtol=1e-14)
 
     def test_example_value(self):
         v = expected_neg_log2_error(3, 4)
