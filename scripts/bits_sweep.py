@@ -27,7 +27,7 @@ def main() -> int:
 
     grid = (args.snr_db,)
     P = 10.0 ** (args.snr_db / 10.0)
-    perfect = mu_throughput(SimConfig(M=args.M, K=args.M, snr_grid_db=grid, csit="perfect",
+    perfect = mu_throughput(SimConfig(M=args.M, K=args.M, snr_grid_db=grid,
                                       trials=args.trials, seed=args.seed))
     ref = float(perfect.mean_bps_hz[0])
     print(f"M={args.M}, {args.snr_db:g} dB, {args.trials} trials; "

@@ -55,6 +55,11 @@ class ExperimentSpec:
     out: str | None = None
 
 
+# Each point is a Monte Carlo run of every curve, so no run needs this many;
+# the cap stops a mistyped step (0:1e-9:1) from building 10^9 points.
+_MAX_SNR_POINTS = 100_000
+
+
 def parse_snr_grid(text: str) -> tuple:
     """Parse 'lo:step:hi' into an inclusive strictly increasing grid."""
     parts = text.split(":")
@@ -64,11 +69,17 @@ def parse_snr_grid(text: str) -> tuple:
         lo, step, hi = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"snr must contain numbers, got {text!r}") from None
-    if step <= 0.0 or hi < lo:
-        raise ConfigError(f"snr needs step > 0 and hi >= lo, got {text!r}")
+    if not all(map(math.isfinite, (lo, step, hi))) or step <= 0.0 or hi < lo:
+        raise ConfigError(f"snr needs step > 0 and hi >= lo, all finite, got {text!r}")
+    # the points lo + i*step below hi + step/2, before rounding up
+    count = (hi + step / 2.0 - lo) / step
+    if not count <= _MAX_SNR_POINTS:
+        raise ConfigError(f"snr has more than {_MAX_SNR_POINTS} points, got {text!r}")
     # lo + i*step rounded, so 0:0.1:1 gives 0.3 rather than 0.30000000000000004
-    n = len(np.arange(lo, hi + step / 2.0, step))
-    return tuple(round(lo + i * step, 12) for i in range(n))
+    grid = tuple(round(lo + i * step, 12) for i in range(math.ceil(count)))
+    if grid[-1] > sim.MAX_SNR_DB:
+        raise ConfigError(f"snr points must be at most {sim.MAX_SNR_DB} dB, got {text!r}")
+    return grid
 
 
 def parse_bit_range(value) -> list[int]:
@@ -147,7 +158,6 @@ def _run_curve(spec: ExperimentSpec, curve: _Curve, M: int, grid: tuple,
     if K is None:
         K = 1 if curve.engine == "miso" else M
     cfg = sim.SimConfig(M=M, K=K, snr_grid_db=grid, policy=curve.policy, precoder=curve.precoder,
-                        csit="perfect" if curve.policy is None else "quantized",
                         path=_PATH_ALIASES[spec.path] if spec.path else default_path,
                         trials=spec.trials, seed=spec.seed)
     engine = getattr(sim, name)

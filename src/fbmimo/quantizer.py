@@ -55,14 +55,20 @@ def _check_bits(B: float) -> None:
         raise DomainError(f"B must be >= 0, got {B}")
 
 
-def generate_codebook(M: int, B: int, rng: np.random.Generator) -> Codebook:
-    """Draw a fresh random codebook of ``2**B`` isotropic unit vectors."""
-    _check_m(M)
+def _enumerable_bits(B) -> int:
+    """B as a codebook's bits: an integer from 0 to MAX_CODEBOOK_BITS."""
     if B != int(B) or B < 0:
         raise DomainError(f"codebook bits must be a nonnegative integer, got {B}")
     B = int(B)
     if B > MAX_CODEBOOK_BITS:
         raise CapacityError(f"B={B} exceeds the enumerable budget of {MAX_CODEBOOK_BITS} bits")
+    return B
+
+
+def generate_codebook(M: int, B: int, rng: np.random.Generator) -> Codebook:
+    """Draw a fresh random codebook of ``2**B`` isotropic unit vectors."""
+    _check_m(M)
+    B = _enumerable_bits(B)
     words = sample_isotropic_unit(M, rng, size=1 << B)
     return Codebook(M=M, B=B, words=words)
 
@@ -250,12 +256,7 @@ def sample_errors_brute(M: int, B: int, n: int, rng: np.random.Generator) -> np.
     does; trials are batched for throughput.
     """
     _check_m(M)
-    if B != int(B) or B < 0:
-        raise DomainError(f"brute-force bits must be a nonnegative integer, got {B}")
-    B = int(B)
-    if B > MAX_CODEBOOK_BITS:
-        raise CapacityError(f"B={B} exceeds the enumerable budget of {MAX_CODEBOOK_BITS} bits")
-    n_words = 1 << B
+    n_words = 1 << _enumerable_bits(B)
     chunk = max(1, int(4_000_000 / (n_words * M)))
     out = np.empty(n)
     pos = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,16 +51,22 @@ _BLOCK = 1024  # trials drawn and evaluated as one stack
 # threads hold about 40 MiB.
 _THREAD_MIN_ENTRIES = 1 << 11
 _THREAD_BUDGET_ENTRIES = 1 << 20
+# the highest SNR point; a point's power 10^(dB/10) overflows from ~3082.55 dB
+MAX_SNR_DB = 3082.5
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """M transmit antennas, K users and an SNR grid in dB.  policy=None is
+    perfect CSIT, a ScalingPolicy quantized CSIT.  mu_throughput and
+    rate_gap read policy, precoder and path; miso_feedback_throughput reads
+    policy and path; the TDMA and random-beamforming baselines read none."""
+
     M: int
     K: int
     snr_grid_db: tuple
     policy: ScalingPolicy | None = None
     precoder: str = ZF
-    csit: str = "quantized"
     path: str = FAST_DECOMPOSITION
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
@@ -74,13 +80,11 @@ class SimConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.precoder not in (ZF, RZF):
             raise ConfigError(f"precoder must be ZF or RZF, got {self.precoder!r}")
-        if self.csit not in ("perfect", "quantized"):
-            raise ConfigError(f"csit must be 'perfect' or 'quantized', got {self.csit!r}")
         if self.path not in (BRUTE_FORCE, FAST_DECOMPOSITION):
             raise ConfigError(f"path must be brute_force or fast_decomposition, got {self.path!r}")
-        if self.csit == "quantized" and self.policy is None:
-            raise ConfigError("csit='quantized' requires a feedback policy")
         grid = tuple(float(x) for x in self.snr_grid_db)
+        if not all(-math.inf < x <= MAX_SNR_DB for x in grid):
+            raise ConfigError(f"snr_grid_db points must be finite and at most {MAX_SNR_DB} dB")
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("snr_grid_db must be non-empty and strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -100,7 +104,7 @@ def _codebook_bits(B: float) -> float:
 def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
     """Feedback bits at this point: the policy's real-valued count, rounded
     up to a whole codebook on the brute path, NaN under perfect CSIT."""
-    if cfg.csit == "perfect":
+    if cfg.policy is None:
         return math.nan
     B = cfg.policy.bits(snr_db, cfg.M)
     if cfg.path == BRUTE_FORCE and _codebook_bits(B) > MAX_CODEBOOK_BITS:
@@ -160,28 +164,29 @@ def _each_trial(n: int, work, workers: int) -> None:
             raise err
 
 
-def _draw_quantized(gens: list, M: int, K: int, B: float,
-                    path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Channel rows H and quantized unit directions, both (trials, K, M)."""
+def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i^H b_i over stacks (..., M), summed as np.vdot sums; einsum would not."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _draw_quantized(gens: list, M: int, K: int, B: float, path: str) -> tuple:
+    """Channel rows H and quantized unit directions h_hat, (trials, K, M), and
+    each user's ||h||^2 and error Z = sin^2(angle(h, h_hat)), (trials, K)."""
     if path == BRUTE_FORCE:
         H = sample_complex_gaussian(M, gens, size=K)
         h_hat = np.empty_like(H)
+        z = np.empty(H.shape[:-1])
 
         def search(t: int) -> None:
             for i in range(K):
-                h_hat[t, i] = quantize(H[t, i], generate_codebook(M, B, gens[t])).h_hat
+                q = quantize(H[t, i], generate_codebook(M, B, gens[t]))
+                h_hat[t, i], z[t, i] = q.h_hat, q.error_z
 
         _each_trial(len(gens), search, _workers(M, B, len(gens), _cpus()))
-        return H, h_hat
-    h_dir, h_hat, _ = sample_quantized_pair(M, B, gens, size=K)
+        return H, h_hat, _vdot_rows(H, H).real, z
+    h_dir, h_hat, z = sample_quantized_pair(M, B, gens, size=K)
     mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
-    return np.sqrt(mag2)[..., None] * h_dir, h_hat
-
-
-def _beamformers(G_rows: np.ndarray, precoder: str, P: float) -> np.ndarray:
-    if precoder == ZF:
-        return zf_beamformers(G_rows)
-    return rzf_beamformers(G_rows, P)
+    return np.sqrt(mag2)[..., None] * h_dir, h_hat, mag2, z
 
 
 def _sum_rate(H: np.ndarray, vectors: np.ndarray, P: float) -> np.ndarray:
@@ -198,9 +203,7 @@ def _error_sum(H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     """Per-trial sum of the users' quantization errors Z_i = 1 - |h_dir_i^H
     h_hat_i|^2, each clamped to [0, 1], for channel rows H and unit
     directions h_hat of shape (trials, K, M)."""
-    dirs = H / np.linalg.norm(H, axis=-1, keepdims=True)
-    # a 1 x M by M x 1 product sums as np.vdot does, which einsum would not
-    cos = (dirs.conj()[..., None, :] @ h_hat[..., :, None])[..., 0, 0]
+    cos = _vdot_rows(H / np.linalg.norm(H, axis=-1, keepdims=True), h_hat)
     return np.clip(1.0 - (cos.real * cos.real + cos.imag * cos.imag), 0.0, 1.0).sum(axis=-1)
 
 
@@ -246,14 +249,16 @@ def _trials(n_trials: int, seed: int, draw, evaluate) -> tuple[np.ndarray, int]:
 # an evaluate(cfg, P, *arrays) -> one value per trial.
 
 def _mu_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
-    if cfg.csit == "perfect":
+    """H and the directions the transmitter knows: H itself under perfect CSIT."""
+    if cfg.policy is None:
         H = sample_complex_gaussian(cfg.M, gens, size=cfg.K)
         return H, H
-    return _draw_quantized(gens, cfg.M, cfg.K, B, cfg.path)
+    return _draw_quantized(gens, cfg.M, cfg.K, B, cfg.path)[:2]
 
 
 def _mu_rates(cfg: SimConfig, P: float, H: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    return _sum_rate(H, _beamformers(directions.conj(), cfg.precoder, P), P)
+    G = directions.conj()
+    return _sum_rate(H, zf_beamformers(G) if cfg.precoder == ZF else rzf_beamformers(G, P), P)
 
 
 def _zf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
@@ -263,9 +268,8 @@ def _zf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
     direction, sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2): shape
     (trials, 2).  One ZF build per stack serves both."""
     beams = zf_beamformers(h_hat.conj())
-    # 1 x M by M x 1 products sum as np.vdot does, which einsum would not
-    gain = (h_hat.conj()[..., None, :] @ np.swapaxes(beams, -1, -2)[..., :, None])[..., 0, 0]
-    mag2 = (H.conj()[..., None, :] @ H[..., :, None])[..., 0, 0].real
+    gain = _vdot_rows(h_hat, np.swapaxes(beams, -1, -2))
+    mag2 = _vdot_rows(H, H).real
     control = np.log2(1.0 + (P / cfg.M) * mag2 * (gain.real * gain.real + gain.imag * gain.imag))
     return np.stack([_sum_rate(H, beams, P), control.sum(axis=-1)], axis=-1)
 
@@ -279,36 +283,20 @@ def _rzf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
 
 def _gap_rates(cfg: SimConfig, P: float, H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
-    beams_perfect = _beamformers(H.conj(), cfg.precoder, P)
-    beams_fb = _beamformers(h_hat.conj(), cfg.precoder, P)
-    return (_sum_rate(H, beams_perfect, P) - _sum_rate(H, beams_fb, P)) / cfg.M
+    return (_mu_rates(cfg, P, H, H) - _mu_rates(cfg, P, H, h_hat)) / cfg.M
 
 
 def _miso_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
-    """Channel power ||h||^2 and quantization error Z per trial."""
-    if cfg.path == BRUTE_FORCE:
-        h = sample_complex_gaussian(cfg.M, gens)
-        mag2, z = np.empty(len(gens)), np.empty(len(gens))
-
-        def search(t: int) -> None:
-            z[t] = quantize(h[t], generate_codebook(cfg.M, B, gens[t])).error_z
-            mag2[t] = np.real(np.vdot(h[t], h[t]))
-
-        _each_trial(len(gens), search, _workers(cfg.M, B, len(gens), _cpus()))
-        return mag2, z
-    z = sample_quantized_pair(cfg.M, B, gens)[2]
-    return draw_rows(gens, lambda gen: gen.gamma(cfg.M, 1.0)), z
+    """Channel power ||h||^2 and quantization error Z: one user's quantized draw."""
+    _, _, mag2, z = _draw_quantized(gens, cfg.M, 1, B, cfg.path)
+    return mag2[:, 0], z[:, 0]
 
 
 def _miso_rates(cfg: SimConfig, P: float, mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _log2(1.0 + P * mag2 * (1.0 - z))
 
 
-def _channels_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
-    return (sample_complex_gaussian(cfg.M, gens, size=cfg.K),)
-
-
-def _tdma_rates(cfg: SimConfig, P: float, H: np.ndarray) -> np.ndarray:
+def _tdma_rates(cfg: SimConfig, P: float, H: np.ndarray, _: np.ndarray) -> np.ndarray:
     best = np.max(np.sum(np.abs(H) ** 2, axis=-1), axis=-1)
     return _log2(1.0 + P * best)
 
@@ -368,22 +356,20 @@ def _regression_estimate(rates: np.ndarray, control: np.ndarray,
 
 
 def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None,
-           precoder: str | None = None, feedback: bool = True,
-           control=None) -> ThroughputCurve:
+           precoder: str | None = None, control=None) -> ThroughputCurve:
     """Sweep the SNR grid and average the engine's per-trial rates.
 
     Every trial retries its draw while the beamformer build is singular and
-    the discarded draws are counted per point.  Curves with feedback=False
-    (the baselines) never resolve feedback bits, so they need no policy.
-    With control(P, B), the exact mean of a control variate at power P and
-    resolved bits B, evaluate returns (trials, 2) rows of rate and control,
-    and each point reports the regression estimate, or the plain one where
-    control(P, B) is None.
+    the discarded draws are counted per point.  With control(P, B), the
+    exact mean of a control variate at power P and resolved bits B,
+    evaluate returns (trials, 2) rows of rate and control, and each point
+    reports the regression estimate, or the plain one where control(P, B)
+    is None.
     """
     means, errs, bits, resamples = [], [], [], []
     for snr_db in cfg.snr_grid_db:
         P = 10.0 ** (snr_db / 10.0)
-        B = _resolve_bits(cfg, snr_db) if feedback else math.nan
+        B = _resolve_bits(cfg, snr_db)
         values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
                                     lambda *arrays: evaluate(cfg, P, *arrays))
         if control is None:
@@ -396,7 +382,7 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
         bits.append(B)
         resamples.append(discarded)
     if policy is None:
-        policy = "perfect" if cfg.csit == "perfect" else cfg.policy.describe()
+        policy = "perfect" if cfg.policy is None else cfg.policy.describe()
     return ThroughputCurve(
         label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
         std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
@@ -428,9 +414,9 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     points are plain means.
     """
     _require_square(cfg)
-    label = label or f"{cfg.precoder.lower()}_{cfg.csit}"
-    if cfg.csit == "perfect":
-        return _curve(cfg, label, _mu_draw, _mu_rates)
+    if cfg.policy is None:
+        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _mu_draw, _mu_rates)
+    label = label or f"{cfg.precoder.lower()}_quantized"
     if cfg.precoder == ZF:
         return _curve(cfg, label, _mu_draw, _zf_rates_and_control,
                       control=lambda P, B: zf_perfect_sum_rate(P, cfg.M))
@@ -446,8 +432,8 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
     differencing two independent sweeps.
     """
     _require_square(cfg)
-    if cfg.csit != "quantized":
-        raise ConfigError("rate_gap compares against perfect CSIT; set csit='quantized'")
+    if cfg.policy is None:
+        raise ConfigError("rate_gap compares quantized with perfect CSIT; give a feedback policy")
     return _curve(cfg, label, _mu_draw, _gap_rates)
 
 
@@ -456,16 +442,16 @@ def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -
     when the transmitter steers along the quantized direction."""
     if cfg.K != 1:
         raise ConfigError(f"miso engine requires K == 1, got K={cfg.K}")
-    if cfg.csit != "quantized":
-        raise ConfigError("miso engine models quantized feedback; set csit='quantized'")
+    if cfg.policy is None:
+        raise ConfigError("miso engine models quantized feedback; give a feedback policy")
     return _curve(cfg, label, _miso_draw, _miso_rates, precoder="BF")
 
 
 def tdma_throughput(cfg: SimConfig, label: str = "tdma") -> ThroughputCurve:
     """Serve only the instantaneously strongest of K users with full-power
     perfect-CSIT beamforming: log2(1 + P max_i ||h_i||^2)."""
-    return _curve(cfg, label, _channels_draw, _tdma_rates, policy="tdma", precoder="BF",
-                  feedback=False)
+    return _curve(replace(cfg, policy=None), label, _mu_draw, _tdma_rates, policy="tdma",
+                  precoder="BF")
 
 
 def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> ThroughputCurve:
@@ -482,8 +468,8 @@ def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> Throughput
     """
     if cfg.K < cfg.M:
         raise ConfigError(f"random beamforming requires K >= M, got K={cfg.K}, M={cfg.M}")
-    return _curve(cfg, label, _random_bf_draw, _random_bf_rates,
-                  policy="random_bf/max-sinr-claim", precoder="BF", feedback=False,
+    return _curve(replace(cfg, policy=None), label, _random_bf_draw, _random_bf_rates,
+                  policy="random_bf/max-sinr-claim", precoder="BF",
                   control=lambda P, B: random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1 else None)
 
 
@@ -507,8 +493,8 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
                       min(max(1.0 - abs(np.vdot(dirs[t, 1], h_hat[t, 1])) ** 2, 0.0), 1.0))
         return out
 
-    vals, resamples = _trials(n_trials, seed, lambda gens: _draw_quantized(gens, M, M, B, path),
-                              statistics)
+    vals, resamples = _trials(n_trials, seed,
+                              lambda gens: _draw_quantized(gens, M, M, B, path)[:2], statistics)
     return {
         "signal": vals[:, 0],
         "interference": vals[:, 1],

@@ -110,8 +110,8 @@ def test_06_scaled_bits_offset(capsys):
     quant_cfg = SimConfig(M=5, K=5, snr_grid_db=grid, policy=ScalingPolicy.exact_scaled(2.0),
                           path=FAST_DECOMPOSITION, trials=10_000, seed=42)
     gap = rate_gap(quant_cfg)
-    perfect = mu_throughput(SimConfig(M=5, K=5, snr_grid_db=grid, csit="perfect",
-                                      trials=10_000, seed=42))
+    perfect = mu_throughput(SimConfig(M=5, K=5, snr_grid_db=grid, trials=10_000,
+                                      seed=42))
     quant = mu_throughput(quant_cfg)
     offset = horizontal_offset_db(perfect, quant, 25.0, 30.0)
     ok = bool(np.all(gap.mean_bps_hz < 1.0)) and abs(offset - 2.6) <= 0.4
@@ -123,8 +123,8 @@ def test_06_scaled_bits_offset(capsys):
 def test_07_dual_gap_6x6(capsys):
     """Doubling the target power gap doubles the realized dB offset (6x6)."""
     grid = tuple(float(s) for s in range(0, 35, 5))
-    perfect = mu_throughput(SimConfig(M=6, K=6, snr_grid_db=grid, csit="perfect",
-                                      trials=10_000, seed=42))
+    perfect = mu_throughput(SimConfig(M=6, K=6, snr_grid_db=grid, trials=10_000,
+                                      seed=42))
     offsets = {}
     for b_gap, target in ((2.0, 2.5), (4.0, 5.0)):
         cfg = SimConfig(M=6, K=6, snr_grid_db=grid, policy=ScalingPolicy.approx_3db(b_gap),
@@ -196,8 +196,7 @@ def test_11_baseline_ordering(capsys):
         return float(mu_throughput(cfg).mean_bps_hz[0])
 
     def baseline_at(snr_db, runner):
-        cfg = SimConfig(M=4, K=4, snr_grid_db=(snr_db,), csit="perfect",
-                        trials=10_000, seed=42)
+        cfg = SimConfig(M=4, K=4, snr_grid_db=(snr_db,), trials=10_000, seed=42)
         return float(runner(cfg).mean_bps_hz[0])
 
     zf15 = zf_at(15.0, ScalingPolicy.approx_3db(2.0))

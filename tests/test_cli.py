@@ -42,6 +42,12 @@ class TestParseSnrGrid:
             with pytest.raises(ConfigError):
                 parse_snr_grid(bad)
 
+    def test_point_count_is_capped_before_the_grid_is_built(self):
+        assert len(parse_snr_grid("0:0.01:999.99")) == 100_000
+        for bad in ("0:0.01:1000", "0:1e-15:1", "-1e308:1e-300:0"):
+            with pytest.raises(ConfigError, match="points"):
+                parse_snr_grid(bad)
+
     def test_decimal_step_without_float_drift(self):
         assert parse_snr_grid("0:0.1:1") == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
                                              0.9, 1.0)
@@ -512,6 +518,25 @@ class TestExitCodes:
         assert main(["table", "quantizer", "--config", str(p), "--out", str(out)]) == 0
         _, rows = _read_csv(out)
         assert [r[0] for r in rows] == ["2", "3"]
+
+
+    # Grids the engine cannot evaluate: 10^(dB/10) overflows above about
+    # 3082.5 dB, ends that are not finite, and more points than the cap.
+    # scaled5x5's offset reference shifts 3077 dB up past the overflow.
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--csit", "perfect", "--snr=4000:10:4000"],
+        ["figure", "miso4x1", "--snr=4000:10:4000"],
+        ["sweep", "--csit", "perfect", "--snr=nan:1:nan"],
+        ["sweep", "--csit", "perfect", "--snr=inf:1:inf"],
+        ["sweep", "--csit", "perfect", "--snr=-inf:1:0"],
+        ["sweep", "--csit", "perfect", "--snr=0:1e-15:1"],
+        ["figure", "scaled5x5", "--snr=3077:1:3077"]],
+        ids=["overflow", "overflow_miso4x1", "nan", "inf", "minus_inf", "too_many_points",
+             "overflow_scaled5x5_offset"])
+    def test_snr_grid_the_engine_cannot_evaluate_is_exit_2(self, argv, capsys):
+        assert main([*argv, "--trials", "2", "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "snr" in err.lower() and "Traceback" not in err
 
 
 class TestModuleEntryPoint:

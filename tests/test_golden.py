@@ -1,5 +1,6 @@
-"""Golden outputs: every preset, one brute sweep per engine, the quantizer
-table and `validate bounds`, rerun in-process against files in tests/golden.
+"""Golden outputs: every preset, one brute sweep per engine, a fast miso
+sweep, the quantizer table and `validate bounds`, rerun in-process against
+files in tests/golden.
 
 Each CSV is ``fbmimo <argv> --out tests/golden/<name>`` for an entry of
 GOLDEN below; the nine presets were written together with
@@ -32,6 +33,10 @@ GOLDEN = {
                             "--B", "8", *_QUANTIZED],
     "sweep_miso_brute.csv": ["sweep", "--engine", "miso", "--M", "4", "--B", "12",
                              *_QUANTIZED],
+    # real-valued bits on the fast path
+    "sweep_miso_fast.csv": ["sweep", "--engine", "miso", "--M", "4", "--csit", "quantized",
+                            "--scaling", "exact", "--b-gap", "2", "--path", "fast",
+                            "--snr", "0:10:20", "--trials", "40"],
     "table_quantizer.csv": ["table", "quantizer", "--M", "4", "--B", "2..16"],
 }
 

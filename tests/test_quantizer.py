@@ -312,6 +312,17 @@ class TestBruteForceSampler:
         with pytest.raises(DomainError):
             sample_errors_brute(3, 4.5, 10, RngStream(0, 0).generator())
 
+    @pytest.mark.parametrize("B, error", [(-1, DomainError), (4.5, DomainError),
+                                          (31, CapacityError), (31.0, CapacityError)])
+    def test_rejects_the_bits_generate_codebook_rejects(self, B, error):
+        rng = RngStream(0, 0).generator()
+        with pytest.raises(error):
+            generate_codebook(3, B, rng)
+        with pytest.raises(error):
+            sample_errors_brute(3, B, 10, rng)
+        assert generate_codebook(3, 4.0, rng).B == 4
+        assert sample_errors_brute(3, 4.0, 10, rng).shape == (10,)
+
 
 class TestOptimalQuantizer:
     def test_cdf_shape(self):

@@ -1,0 +1,35 @@
+"""The scripts in scripts/ run end to end at tiny sizes."""
+
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(script, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_bits_sweep(tmp_path):
+    out = tmp_path / "bits.csv"
+    proc = _run("bits_sweep.py", "--M", "3", "--B", "2..3", "--trials", "20", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "perfect-CSIT ZF reference" in proc.stdout
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["B", "throughput_bps_hz"]
+    assert [r[0] for r in rows[1:]] == ["2", "3"]
+
+
+def test_run_all_figures(tmp_path):
+    proc = _run("run_all_figures.py", "--only", "miso4x1", "--trials", "4",
+                "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "miso4x1: ok" in proc.stdout
+    with open(tmp_path / "miso4x1.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["experiment", "curve"]
+    assert {r[1] for r in rows[1:]} >= {"miso_fb_quantized"}

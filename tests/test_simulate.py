@@ -23,8 +23,8 @@ B4 = ScalingPolicy.fixed(4)
 
 
 def _cfg(**kw):
-    base = dict(M=2, K=2, snr_grid_db=(10.0,), policy=B4, csit="quantized",
-                path=FAST_DECOMPOSITION, trials=500, seed=7)
+    base = dict(M=2, K=2, snr_grid_db=(10.0,), policy=B4, path=FAST_DECOMPOSITION,
+                trials=500, seed=7)
     base.update(kw)
     return SimConfig(**base)
 
@@ -48,17 +48,29 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             _cfg(precoder="MRT")
         with pytest.raises(ConfigError):
-            _cfg(csit="imperfect")
-        with pytest.raises(ConfigError):
             _cfg(path="exhaustive")
         with pytest.raises(ConfigError):
             _cfg(snr_grid_db=())
         with pytest.raises(ConfigError):
             _cfg(snr_grid_db=(10.0, 5.0))
 
-    def test_quantized_requires_policy(self):
+    def test_no_policy_runs_perfect_csit_and_the_feedback_engines_reject_it(self):
+        cfg = _cfg(policy=None, trials=50)
+        curve = mu_throughput(cfg)
+        assert (curve.label, curve.policy) == ("zf_perfect", "perfect")
+        assert np.isnan(curve.b_bits[0])
         with pytest.raises(ConfigError):
-            _cfg(policy=None)
+            rate_gap(cfg)
+        with pytest.raises(ConfigError):
+            miso_feedback_throughput(_cfg(K=1, policy=None))
+
+    @pytest.mark.parametrize("grid", [(math.nan,), (0.0, math.inf), (-math.inf, 0.0),
+                                      (0.0, 3083.0)])
+    def test_rejects_grid_points_without_a_finite_power(self, grid):
+        with pytest.raises(ConfigError, match="finite and at most"):
+            _cfg(snr_grid_db=grid)
+        assert _cfg(snr_grid_db=(-4000.0, sim.MAX_SNR_DB)).snr_grid_db[-1] == 3082.5
+        assert math.isfinite(10.0 ** (sim.MAX_SNR_DB / 10.0))
 
     def test_grid_coerced_to_floats(self):
         cfg = _cfg(snr_grid_db=(0, 5, 10))
@@ -112,7 +124,7 @@ class TestMuThroughput:
     def test_perfect_csit_matches_scalar_oracle(self):
         # perfect-CSIT ZF reduces each user to an Exp(1) scalar channel at P/M
         m, p_db, trials = 3, 10.0, 6000
-        cfg = SimConfig(M=m, K=m, snr_grid_db=(p_db,), csit="perfect", trials=trials, seed=5)
+        cfg = SimConfig(M=m, K=m, snr_grid_db=(p_db,), trials=trials, seed=5)
         curve = mu_throughput(cfg)
         want = m * _scalar_rate_oracle(10.0 ** (p_db / 10.0) / m, 1)
         assert abs(curve.mean_bps_hz[0] - want) < 3.0 * curve.std_err[0]
@@ -143,8 +155,7 @@ class TestMuThroughput:
         curve = mu_throughput(cfg)
         want = [pol.bits(s, 3) for s in (0.0, 10.0, 20.0)]
         np.testing.assert_allclose(curve.b_bits, want, rtol=1e-12)
-        perfect = mu_throughput(SimConfig(M=3, K=3, snr_grid_db=(10.0,), csit="perfect",
-                                          trials=300))
+        perfect = mu_throughput(SimConfig(M=3, K=3, snr_grid_db=(10.0,), trials=300))
         assert np.isnan(perfect.b_bits[0])
 
     def test_resamples_rare(self):
@@ -157,7 +168,7 @@ class TestRateGap:
         with pytest.raises(ConfigError):
             rate_gap(_cfg(M=3, K=2, policy=B4))
         with pytest.raises(ConfigError):
-            rate_gap(SimConfig(M=2, K=2, snr_grid_db=(10.0,), csit="perfect", trials=100))
+            rate_gap(SimConfig(M=2, K=2, snr_grid_db=(10.0,), trials=100))
 
     def test_gap_positive_and_reproducible(self):
         cfg = _cfg(M=3, K=3, snr_grid_db=(5.0, 15.0), policy=B4, trials=2000)
@@ -170,8 +181,8 @@ class TestRateGap:
         cfg = _cfg(M=2, K=2, snr_grid_db=(10.0,), policy=B4, trials=3000)
         gap = rate_gap(cfg)
         quant = mu_throughput(cfg)
-        perfect = mu_throughput(SimConfig(M=2, K=2, snr_grid_db=(10.0,), csit="perfect",
-                                          trials=3000, seed=cfg.seed + 1))
+        perfect = mu_throughput(SimConfig(M=2, K=2, snr_grid_db=(10.0,), trials=3000,
+                                          seed=cfg.seed + 1))
         unpaired = math.hypot(quant.std_err[0], perfect.std_err[0]) / cfg.M
         assert gap.std_err[0] < unpaired
 
@@ -181,8 +192,7 @@ class TestMisoEngine:
         with pytest.raises(ConfigError):
             miso_feedback_throughput(_cfg(M=4, K=2, policy=B4))
         with pytest.raises(ConfigError):
-            miso_feedback_throughput(SimConfig(M=4, K=1, snr_grid_db=(10.0,),
-                                               csit="perfect", trials=100))
+            miso_feedback_throughput(SimConfig(M=4, K=1, snr_grid_db=(10.0,), trials=100))
 
     def test_brute_and_fast_paths_agree(self):
         kw = dict(M=4, K=1, snr_grid_db=(5.0, 15.0), policy=ScalingPolicy.fixed(6), trials=6000)
@@ -204,21 +214,20 @@ class TestMisoEngine:
 class TestTdma:
     def test_single_user_matches_oracle(self):
         p_db = 10.0
-        cfg = SimConfig(M=4, K=1, snr_grid_db=(p_db,), csit="perfect", trials=6000, seed=13)
+        cfg = SimConfig(M=4, K=1, snr_grid_db=(p_db,), trials=6000, seed=13)
         curve = tdma_throughput(cfg)
         want = _scalar_rate_oracle(10.0 ** (p_db / 10.0), 4)
         assert abs(curve.mean_bps_hz[0] - want) < 3.0 * curve.std_err[0]
 
     def test_selection_gain(self):
-        kw = dict(M=4, snr_grid_db=(10.0,), csit="perfect", trials=4000, seed=13)
+        kw = dict(M=4, snr_grid_db=(10.0,), trials=4000, seed=13)
         one = tdma_throughput(SimConfig(K=1, **kw))
         four = tdma_throughput(SimConfig(K=4, **kw))
         assert four.mean_bps_hz[0] > one.mean_bps_hz[0] + 3.0 * four.std_err[0]
 
     def test_unit_multiplexing_gain(self):
         from fbmimo.bounds import fit_multiplexing_gain
-        cfg = SimConfig(M=4, K=4, snr_grid_db=tuple(range(0, 45, 5)), csit="perfect",
-                        trials=2000, seed=13)
+        cfg = SimConfig(M=4, K=4, snr_grid_db=tuple(range(0, 45, 5)), trials=2000, seed=13)
         slope = fit_multiplexing_gain(tdma_throughput(cfg))
         assert abs(slope - 1.0) < 0.15
 
@@ -226,19 +235,18 @@ class TestTdma:
 class TestRandomBf:
     def test_needs_enough_users(self):
         with pytest.raises(ConfigError):
-            random_bf_throughput(SimConfig(M=4, K=3, snr_grid_db=(10.0,), csit="perfect",
-                                           trials=100))
+            random_bf_throughput(SimConfig(M=4, K=3, snr_grid_db=(10.0,), trials=100))
 
     def test_single_antenna_reduces_to_scalar_channel(self):
         # one beam, one user: rate is log2(1 + P |h|^2) exactly
         p_db = 10.0
-        cfg = SimConfig(M=1, K=1, snr_grid_db=(p_db,), csit="perfect", trials=6000, seed=17)
+        cfg = SimConfig(M=1, K=1, snr_grid_db=(p_db,), trials=6000, seed=17)
         curve = random_bf_throughput(cfg)
         want = _scalar_rate_oracle(10.0 ** (p_db / 10.0), 1)
         assert abs(curve.mean_bps_hz[0] - want) < 3.0 * curve.std_err[0]
 
     def test_reproducible(self):
-        cfg = SimConfig(M=2, K=4, snr_grid_db=(10.0,), csit="perfect", trials=500, seed=17)
+        cfg = SimConfig(M=2, K=4, snr_grid_db=(10.0,), trials=500, seed=17)
         a = random_bf_throughput(cfg)
         assert np.array_equal(a.mean_bps_hz, random_bf_throughput(cfg).mean_bps_hz)
 
@@ -246,7 +254,7 @@ class TestRandomBf:
     def test_plain_mean_without_a_trusted_control(self, M, K):
         # the closed form cancels too far at (8, 64) and (8, 2000); at M = 1
         # the rate is the control itself
-        cfg = SimConfig(M=M, K=K, snr_grid_db=(0.0, 20.0), csit="perfect", trials=20, seed=17)
+        cfg = SimConfig(M=M, K=K, snr_grid_db=(0.0, 20.0), trials=20, seed=17)
         curve = random_bf_throughput(cfg)
         for j, snr_db in enumerate(cfg.snr_grid_db):
             P = 10.0 ** (snr_db / 10.0)
@@ -266,7 +274,7 @@ class TestErrorBars:
         want = m * _scalar_rate_oracle(10.0 ** (p_db / 10.0) / m, 1)
         hits = 0
         for seed in range(30):
-            cfg = SimConfig(M=m, K=m, snr_grid_db=(p_db,), csit="perfect", trials=800, seed=seed)
+            cfg = SimConfig(M=m, K=m, snr_grid_db=(p_db,), trials=800, seed=seed)
             curve = mu_throughput(cfg)
             if abs(curve.mean_bps_hz[0] - want) <= 3.0 * curve.std_err[0]:
                 hits += 1
@@ -372,7 +380,7 @@ class TestControlVariate:
     def test_random_bf_variance_cut(self):
         # compare88's random_bf point at 10 dB (M = K = 8); bound fixed
         # before the first run: more than 2x
-        cfg = SimConfig(M=8, K=8, snr_grid_db=(10.0,), csit="perfect", trials=3000, seed=7)
+        cfg = SimConfig(M=8, K=8, snr_grid_db=(10.0,), trials=3000, seed=7)
         values, _ = sim._trials(cfg.trials, cfg.seed,
                                 lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
                                 lambda *arrays: sim._random_bf_rates(cfg, 10.0, *arrays))
@@ -385,7 +393,7 @@ class TestControlVariate:
         # Bound fixed before the first run: the mean of the engine's
         # per-trial control R is within 4 of its std_errs of
         # random_bf_sum_rate (two-sided normal tail 6e-5).
-        cfg = SimConfig(M=M, K=K, snr_grid_db=(snr_db,), csit="perfect", trials=3000, seed=29)
+        cfg = SimConfig(M=M, K=K, snr_grid_db=(snr_db,), trials=3000, seed=29)
         P = 10.0 ** (snr_db / 10.0)
         values, _ = sim._trials(cfg.trials, cfg.seed,
                                 lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
@@ -397,7 +405,7 @@ class TestControlVariate:
     @pytest.mark.parametrize("overrides", [
         dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10)),
         dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF),
-        dict(snr_grid_db=(10.0,), csit="perfect", policy=None)],
+        dict(snr_grid_db=(10.0,), policy=None)],
         ids=["zf", "rzf", "random_bf"])
     def test_std_err_coverage(self, overrides):
         # Bounds fixed before the first run: the estimate's distance to a
@@ -408,7 +416,7 @@ class TestControlVariate:
         cfg = _cfg(M=4, K=4, trials=300, **overrides)
         (snr_db,) = cfg.snr_grid_db
         P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
-        if cfg.csit == "perfect":  # the random-beamforming baseline
+        if cfg.policy is None:  # the random-beamforming baseline
             engine, draw = random_bf_throughput, sim._random_bf_draw
             rates = lambda *arrays: sim._random_bf_rates(cfg, P, *arrays)[:, 0]
         else:
@@ -456,7 +464,7 @@ def _one_sum_rate(H, vectors, P):
 
 
 def _one_mu(gen, cfg, P, B):
-    if cfg.csit == "perfect":
+    if cfg.policy is None:
         H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
         G = H.conj()
     else:
@@ -549,9 +557,9 @@ def _one_at_a_time(one, cfg, P, B):
 _SCALED_BITS = ScalingPolicy.exact_scaled(2.0)  # real-valued B on the fast path
 _ORACLE_CASES = {
     "zf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
-                   dict(csit="perfect")),
+                   dict(policy=None)),
     "rzf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
-                    dict(csit="perfect", precoder=RZF)),
+                    dict(policy=None, precoder=RZF)),
     "zf_fast": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
                 sim._zf_rates_and_control, dict(policy=_SCALED_BITS)),
     "rzf_fast": (sim.mu_throughput, _one_rzf_and_control, sim._mu_draw,
@@ -566,11 +574,11 @@ _ORACLE_CASES = {
                   dict(K=1, policy=_SCALED_BITS)),
     "miso_brute": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
                    dict(K=1, path=BRUTE_FORCE)),
-    "tdma": (sim.tdma_throughput, _one_tdma, sim._channels_draw, sim._tdma_rates,
-             dict(K=5, csit="perfect")),
+    "tdma": (sim.tdma_throughput, _one_tdma, sim._mu_draw, sim._tdma_rates,
+             dict(K=5, policy=None)),
     # eight beams: numpy sums eight or more terms pairwise, not in order
     "random_bf": (sim.random_bf_throughput, _one_random_bf, sim._random_bf_draw,
-                  sim._random_bf_rates, dict(M=8, K=9, csit="perfect")),
+                  sim._random_bf_rates, dict(M=8, K=9, policy=None)),
 }
 
 
