@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .numerics import LOG2E, LOG2_10
-from .quantizer import expected_neg_log2_error
+from .quantizer import _harmonic, expected_neg_log2_error
 
 FIXED_B = "fixed_B"
 EXACT_SCALED = "exact_scaled"
@@ -157,10 +157,6 @@ def rate_gap_bound(P: float, M: int, B: float) -> float:
     if B < 0:
         raise DomainError(f"B must be >= 0, got {B}")
     return math.log2(1.0 + P * 2.0 ** (-B / (M - 1.0)))
-
-
-def _harmonic(n: int) -> float:
-    return sum(1.0 / k for k in range(1, n + 1))
 
 
 def ceiling_fixed_B(M: int, B: int) -> tuple[float, float]:

@@ -145,55 +145,40 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def near_singular(a: np.ndarray) -> np.ndarray:
-    """Per square matrix: is its smallest partial-pivot LU pivot at most
-    1e-12 * ||A||_F?  A boolean over the leading axes of ``a``.
-
-    The elimination runs column by column over the whole stack at once.
-    Each pivot is the first entry of largest |Re| + |Im| on or below the
-    diagonal, LAPACK's choice in zgetrf.  An exact zero pivot (an all-zero
-    column below the diagonal) is flagged and eliminates nothing.  On
-    Gaussian stacks with M = 2..8 the pivots agree with scipy's lu_factor
-    to 5e-14 relative.  On 1.4 million matrices built to straddle the
-    threshold the flags differed twice, each time with the pivot within
-    1.5e-5 relative of the threshold, where rounding decides either way.
-    """
-    a = np.asarray(a)
-    m = a.shape[-1]
-    u = np.array(a, dtype=complex).reshape(-1, m, m)
-    rows = np.arange(len(u))
-    smallest = np.full(len(u), np.inf)
-    for k in range(m):
-        col = u[:, k:, k]
-        p = k + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=-1)
-        pivot_row = u[rows, p, k:]
-        u[rows, p, k:] = u[:, k, k:]
-        u[:, k, k:] = pivot_row
-        pivot = pivot_row[:, 0]
-        smallest = np.minimum(smallest, np.abs(pivot))
-        # zgetrf scales by the reciprocal; a zero pivot's column is all zero
-        recip = 1.0 / np.where(pivot == 0.0, 1.0, pivot)
-        multipliers = u[:, k + 1:, k] * recip[:, None]
-        u[:, k + 1:, k + 1:] -= multipliers[:, :, None] * pivot_row[:, None, 1:]
-    return smallest.reshape(a.shape[:-2]) <= 1e-12 * np.linalg.norm(a, axis=(-2, -1))
+def _ill_conditioned(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Per square matrix: is kappa_F(A) = ||A||_F ||A^-1||_F not below 1e12?
+    A boolean over the leading axes; an inf or NaN kappa counts as flagged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    return ~(kappa < 1e12)
 
 
 def invert(a: np.ndarray) -> np.ndarray:
     """Invert a square complex matrix, or a stack of them, by partial-pivot LU.
 
-    Raises SingularMatrixError when near_singular() flags a matrix,
-    treating near-singular input as singular instead of returning garbage;
-    for a stack the error's ``rows`` marks the flagged matrices.
+    Raises SingularMatrixError, rather than return garbage, for a matrix
+    whose condition number kappa_F(A) = ||A||_F ||A^-1||_F is not below
+    1e12, or whose LU meets an exact zero pivot.  np.linalg.inv rejects a
+    whole stack for one exact zero pivot; then the slogdet sign, 0 just
+    for those matrices, names them, and the stack is inverted again with
+    them replaced by I, so one raise flags every bad matrix.  For a stack
+    the error's ``rows`` marks the flagged matrices.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    singular = near_singular(a)
+    # numpy's inverse gives the same bits as solving on scipy's LU factors
+    try:
+        inv = np.linalg.inv(a)
+        zero_pivot = False
+    except np.linalg.LinAlgError:
+        zero_pivot = np.linalg.slogdet(a)[0] == 0
+        inv = np.linalg.inv(np.where(zero_pivot[..., None, None], np.eye(a.shape[-1]), a))
+    singular = zero_pivot | _ill_conditioned(a, inv)
     if np.any(singular):
         raise SingularMatrixError("matrix is singular to working precision",
                                   rows=singular if a.ndim > 2 else None)
-    # numpy's inverse gives the same bits as solving on scipy's LU factors
-    return np.linalg.inv(a)
+    return inv
 
 
 def angle_sin2(a: np.ndarray, b: np.ndarray) -> float:

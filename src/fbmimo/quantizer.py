@@ -24,7 +24,10 @@ from .errors import CapacityError, DomainError
 from .numerics import (LOG2E, draw_rows, redraw_streams, sample_complex_gaussian,
                        sample_isotropic_unit)
 
-MAX_CODEBOOK_BITS = 30
+# A codebook's draw and search hold about 40 bytes per entry (see
+# simulate._THREAD_BUDGET_ENTRIES), so M * 2^B entries up to 2^24 take
+# about 640 MiB.
+MAX_CODEBOOK_ENTRIES = 1 << 24
 
 _LN2 = math.log(2.0)
 
@@ -55,20 +58,22 @@ def _check_bits(B: float) -> None:
         raise DomainError(f"B must be >= 0, got {B}")
 
 
-def _enumerable_bits(B) -> int:
-    """B as a codebook's bits: an integer from 0 to MAX_CODEBOOK_BITS."""
+def _enumerable_bits(M: int, B) -> int:
+    """B as the bits of a codebook in C^M: an integer >= 0 with M * 2^B at
+    most MAX_CODEBOOK_ENTRIES."""
     if B != int(B) or B < 0:
         raise DomainError(f"codebook bits must be a nonnegative integer, got {B}")
     B = int(B)
-    if B > MAX_CODEBOOK_BITS:
-        raise CapacityError(f"B={B} exceeds the enumerable budget of {MAX_CODEBOOK_BITS} bits")
+    if M > MAX_CODEBOOK_ENTRIES >> B:
+        raise CapacityError(f"M={M}, B={B} exceeds the enumerable budget of "
+                            f"M * 2^B <= {MAX_CODEBOOK_ENTRIES} codebook entries")
     return B
 
 
 def generate_codebook(M: int, B: int, rng: np.random.Generator) -> Codebook:
     """Draw a fresh random codebook of ``2**B`` isotropic unit vectors."""
     _check_m(M)
-    B = _enumerable_bits(B)
+    B = _enumerable_bits(M, B)
     words = sample_isotropic_unit(M, rng, size=1 << B)
     return Codebook(M=M, B=B, words=words)
 
@@ -148,6 +153,12 @@ _DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 13
                    -691.0 / 32760.0)
 
 
+def _harmonic(n: int) -> float:
+    """H(n) = sum_{k=1}^n 1/k, summed directly: psi(n + 1) + gamma would
+    only round it."""
+    return sum(1.0 / k for k in range(1, n + 1))
+
+
 def _digamma(x: float) -> float:
     """psi(x) for x > 0.
 
@@ -159,7 +170,7 @@ def _digamma(x: float) -> float:
     the Cephes library's psi.
     """
     if x <= 10.0 and x == math.floor(x):
-        return sum(1.0 / k for k in range(1, int(x))) - np.euler_gamma
+        return _harmonic(int(x) - 1) - np.euler_gamma
     shift = 0.0
     while x < 10.0:
         shift -= 1.0 / x
@@ -256,7 +267,7 @@ def sample_errors_brute(M: int, B: int, n: int, rng: np.random.Generator) -> np.
     does; trials are batched for throughput.
     """
     _check_m(M)
-    n_words = 1 << _enumerable_bits(B)
+    n_words = 1 << _enumerable_bits(M, B)
     chunk = max(1, int(4_000_000 / (n_words * M)))
     out = np.empty(n)
     pos = 0

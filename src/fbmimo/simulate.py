@@ -9,13 +9,13 @@ point an engine draws every trial's inputs from its own stream, then forms
 channels, beams and rates for the whole stack of trials at once.
 
 Two quantized-CSIT paths are available: brute_force enumerates a fresh
-random codebook per user per trial (integer B <= 30, non-integer B is
-rounded up), while fast_decomposition samples the error statistic directly
-and is exact in distribution at any real B.  Large brute codebooks are
-drawn and searched on threads, one contiguous run of a stack's trials per
-CPU the process may use; each trial still draws only from its own stream,
-so the result is bit-identical whatever the thread count.  Everything else
-runs on the calling thread.
+random codebook per user per trial (integer B with M * 2^B <= 2^24;
+non-integer B is rounded up), while fast_decomposition samples the error
+statistic directly and is exact in distribution at any real B.  Large
+brute codebooks are drawn and searched on threads, one contiguous run of a
+stack's trials per CPU the process may use; each trial still draws only
+from its own stream, so the result is bit-identical whatever the thread
+count.  Everything else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bounds import ScalingPolicy, ThroughputCurve, random_bf_sum_rate, zf_perfe
 from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
-from .quantizer import (MAX_CODEBOOK_BITS, expected_error, generate_codebook, quantize,
+from .quantizer import (_enumerable_bits, expected_error, generate_codebook, quantize,
                         sample_quantized_pair)
 
 BRUTE_FORCE = "brute_force"
@@ -39,7 +39,6 @@ FAST_DECOMPOSITION = "fast_decomposition"
 
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 42
-DEFAULT_SNR_GRID_DB = tuple(float(x) for x in range(0, 45, 5))
 
 _MAX_RESAMPLES = 1000
 _BLOCK = 1024  # trials drawn and evaluated as one stack
@@ -107,11 +106,13 @@ def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
     if cfg.policy is None:
         return math.nan
     B = cfg.policy.bits(snr_db, cfg.M)
-    if cfg.path == BRUTE_FORCE and _codebook_bits(B) > MAX_CODEBOOK_BITS:
-        raise CapacityError(
-            f"brute_force needs B <= {MAX_CODEBOOK_BITS}, policy asks for {B:.2f} "
-            f"bits at {snr_db} dB; use the fast_decomposition path")
-    return _codebook_bits(B) if cfg.path == BRUTE_FORCE else B
+    if cfg.path != BRUTE_FORCE:
+        return B
+    try:  # before any codebook is drawn
+        return float(_enumerable_bits(cfg.M, _codebook_bits(B)))
+    except CapacityError as err:
+        raise CapacityError(f"brute_force: {err}; policy asks for {B:.2f} bits at {snr_db} dB; "
+                            "use the fast_decomposition path") from None
 
 
 def _cpus() -> int:
@@ -360,7 +361,8 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     """Sweep the SNR grid and average the engine's per-trial rates.
 
     Every trial retries its draw while the beamformer build is singular and
-    the discarded draws are counted per point.  With control(P, B), the
+    the discarded draws are counted per point.  A point whose mean or
+    std_err is not finite raises ConfigError.  With control(P, B), the
     exact mean of a control variate at power P and resolved bits B,
     evaluate returns (trials, 2) rows of rate and control, and each point
     reports the regression estimate, or the plain one where control(P, B)
@@ -377,6 +379,8 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
         else:  # each column contiguous, so its sums run in the plain estimate's order
             rates, controls = np.ascontiguousarray(values.T)
             mean, err = _regression_estimate(rates, controls, control(P, B))
+        if not (math.isfinite(mean) and math.isfinite(err)):
+            raise ConfigError(f"{label} is not finite at SNR {snr_db} dB: a rate overflows")
         means.append(mean)
         errs.append(err)
         bits.append(B)

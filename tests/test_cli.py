@@ -475,6 +475,16 @@ class TestExitCodes:
         assert code == 4
         assert "resamples" in err and "Traceback" not in err
 
+    # the first M * 2^B over quantizer.MAX_CODEBOOK_ENTRIES at each M; it is
+    # rejected before any codebook is drawn
+    @pytest.mark.parametrize("M, B", [(2, 24), (4, 23), (8, 22)])
+    def test_brute_codebook_over_the_entry_cap_is_exit_2(self, M, B, capsys):
+        code = main(["sweep", "--M", str(M), "--B", str(B), "--path", "brute",
+                     "--snr", "0:10:10", "--trials", "2", "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and "M * 2^B" in err and "Traceback" not in err
+
     def test_worker_thread_error_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
@@ -522,7 +532,8 @@ class TestExitCodes:
 
     # Grids the engine cannot evaluate: 10^(dB/10) overflows above about
     # 3082.5 dB, ends that are not finite, and more points than the cap.
-    # scaled5x5's offset reference shifts 3077 dB up past the overflow.
+    # scaled5x5's offset reference shifts 3077 dB up past the overflow, and
+    # at 3080 dB miso's P ||h||^2 (1 - Z) overflows though P does not.
     @pytest.mark.parametrize("argv", [
         ["sweep", "--csit", "perfect", "--snr=4000:10:4000"],
         ["figure", "miso4x1", "--snr=4000:10:4000"],
@@ -530,9 +541,10 @@ class TestExitCodes:
         ["sweep", "--csit", "perfect", "--snr=inf:1:inf"],
         ["sweep", "--csit", "perfect", "--snr=-inf:1:0"],
         ["sweep", "--csit", "perfect", "--snr=0:1e-15:1"],
-        ["figure", "scaled5x5", "--snr=3077:1:3077"]],
+        ["figure", "scaled5x5", "--snr=3077:1:3077"],
+        ["figure", "miso4x1", "--snr=3000:40:3080"]],
         ids=["overflow", "overflow_miso4x1", "nan", "inf", "minus_inf", "too_many_points",
-             "overflow_scaled5x5_offset"])
+             "overflow_scaled5x5_offset", "rate_overflow_miso4x1"])
     def test_snr_grid_the_engine_cannot_evaluate_is_exit_2(self, argv, capsys):
         assert main([*argv, "--trials", "2", "--out", "-"]) == 2
         err = capsys.readouterr().err

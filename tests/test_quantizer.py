@@ -9,7 +9,8 @@ from scipy import integrate, special, stats
 from fbmimo.errors import CapacityError, DomainError
 from fbmimo.numerics import (LOG2E, RngStream, angle_sin2, sample_complex_gaussian,
                              sample_isotropic_unit)
-from fbmimo.quantizer import (Codebook, _digamma, error_ccdf, error_upper_bound, expected_error,
+from fbmimo.quantizer import (MAX_CODEBOOK_ENTRIES, Codebook, _digamma, _enumerable_bits,
+                              error_ccdf, error_upper_bound, expected_error,
                               expected_neg_log2_error, expected_optimal_error,
                               generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
                               quantize, sample_error, sample_errors_brute,
@@ -322,6 +323,18 @@ class TestBruteForceSampler:
             sample_errors_brute(3, B, 10, rng)
         assert generate_codebook(3, 4.0, rng).B == 4
         assert sample_errors_brute(3, 4.0, 10, rng).shape == (10,)
+
+    # the first size over M * 2^B <= 2^24 at each M; nothing is drawn, since
+    # the check comes before the codebook's memory is asked for
+    @pytest.mark.parametrize("M, B", [(2, 24), (4, 23), (8, 22)])
+    def test_codebook_entry_cap(self, M, B):
+        rng = RngStream(0, 0).generator()
+        assert M << B == 2 * MAX_CODEBOOK_ENTRIES
+        with pytest.raises(CapacityError):
+            generate_codebook(M, B, rng)
+        with pytest.raises(CapacityError):
+            sample_errors_brute(M, B, 10, rng)
+        assert _enumerable_bits(M, B - 1) == B - 1
 
 
 class TestOptimalQuantizer:

@@ -100,13 +100,28 @@ class TestPrefixProperty:
     @pytest.mark.parametrize("singular", [False, True])
     def test_zf_statistics_prefix(self, path, M, B, singular, monkeypatch):
         if singular:  # redrawn trials too, as in TestStackedEnginesMatchOneTrialAtATime
-            monkeypatch.setattr(numerics, "near_singular", lambda a: np.abs(a[..., 0, 0]) < 0.3)
+            monkeypatch.setattr(numerics, "_ill_conditioned",
+                                lambda a, inv: np.abs(a[..., 0, 0]) < 0.3)
         short = sim.collect_zf_statistics(M, B, 300, seed=5, path=path)
         long = sim.collect_zf_statistics(M, B, 2048, seed=5, path=path)
         assert 2048 > sim._BLOCK > 300
         assert (short["resamples"] > 0) == singular
         for key in ("signal", "interference", "error_z"):
             np.testing.assert_array_equal(short[key], long[key][:300])
+
+
+class TestRealDrawsAreNotFlagged:
+    """invert's singular rule does not fire on the ZF systems the engine
+    builds: 2000 trials of quantized ZF redraw nothing, on the fast path and
+    on the brute path's smallest codebooks, where directions coincide most."""
+
+    @pytest.mark.parametrize("path, B", [(FAST_DECOMPOSITION, 10), (BRUTE_FORCE, 0),
+                                         (BRUTE_FORCE, 1), (BRUTE_FORCE, 2)])
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_no_resamples(self, M, path, B):
+        cfg = SimConfig(M=M, K=M, snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(B),
+                        path=path, trials=2000, seed=M)
+        assert mu_throughput(cfg).resamples.tolist() == [0]
 
 
 class TestMuThroughput:
@@ -616,7 +631,7 @@ class TestStackedEnginesMatchOneTrialAtATime:
     def test_forced_singular_matrices(self, case, monkeypatch):
         # flag every matrix whose top-left entry is small: a deterministic
         # subset, redrawn from the flagged trial's own stream in both engines
-        monkeypatch.setattr(numerics, "near_singular", lambda a: np.abs(a[..., 0, 0]) < 0.3)
+        monkeypatch.setattr(numerics, "_ill_conditioned", lambda a, inv: np.abs(a[..., 0, 0]) < 0.3)
         curve, cfg = self._check(case, monkeypatch, block=16)
         assert curve.resamples.sum() > 0
         if case in ("zf_fast", "zf_brute"):  # the control adds no inverse, so no redraws
@@ -683,8 +698,8 @@ class TestWorkerCountInvariance:
     @pytest.mark.parametrize("cpus", [2, 3, 7])
     def test_curves_equal_serial(self, case, cpus, singular, monkeypatch, workers_used):
         if singular:  # as in TestStackedEnginesMatchOneTrialAtATime
-            monkeypatch.setattr(numerics, "near_singular",
-                                lambda a: np.abs(a[..., 0, 0]) < 0.3)
+            monkeypatch.setattr(numerics, "_ill_conditioned",
+                                lambda a, inv: np.abs(a[..., 0, 0]) < 0.3)
         engine, kw = _THREADED_CASES[case]
         cfg = SimConfig(**{**dict(M=3, K=3, snr_grid_db=(0.0, 15.0), policy=B4, trials=37,
                                   seed=19), **kw})
