@@ -19,13 +19,13 @@ from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixe
                      zf_perfect_sum_rate)
 from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataError,
                      ResampleLimitError, SingularMatrixError)
-from .numerics import (RngStream, angle_sin2, haar_unitary, invert, sample_complex_gaussian,
+from .numerics import (RngStream, haar_unitary, invert, sample_complex_gaussian,
                        sample_isotropic_unit)
 from .precoder import rzf_beamformers, zf_beamformers
 from .quantizer import (Codebook, QuantizationOutcome, error_ccdf, error_upper_bound,
                         expected_error, expected_neg_log2_error, expected_optimal_error,
                         generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
-                        quantize, sample_error, sample_errors_brute, sample_quantized_pair)
+                        quantize, sample_error, sample_quantized_pair)
 from .simulate import (SimConfig, collect_zf_statistics,
                        miso_feedback_throughput, mu_throughput, random_bf_throughput,
                        rate_gap, tdma_throughput)

@@ -259,29 +259,6 @@ def sample_quantized_pair(M: int, B: float, rng, size: int | None = None):
     return h_dir, h_hat, z
 
 
-def sample_errors_brute(M: int, B: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Quantization errors from n independent brute-force trials.
-
-    Each trial draws an isotropic direction and a fresh ``2**B``-word
-    codebook and takes the argmax inner product, exactly as quantize()
-    does; trials are batched for throughput.
-    """
-    _check_m(M)
-    n_words = 1 << _enumerable_bits(M, B)
-    chunk = max(1, int(4_000_000 / (n_words * M)))
-    out = np.empty(n)
-    pos = 0
-    while pos < n:
-        c = min(chunk, n - pos)
-        h = sample_isotropic_unit(M, rng, size=c)
-        words = sample_isotropic_unit(M, rng, size=c * n_words).reshape(c, n_words, M)
-        cos2 = np.abs(np.einsum("ckm,cm->ck", words, h.conj())) ** 2
-        out[pos:pos + c] = 1.0 - cos2.max(axis=1)
-        pos += c
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
 def optimal_error_cdf(z, M: int, B: float):
     """CDF min(2^B z^(M-1), 1) of the error of an idealized quantizer whose
     codewords never overlap; lower-bounds any realizable B-bit quantizer."""

@@ -360,30 +360,32 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
            precoder: str | None = None, control=None) -> ThroughputCurve:
     """Sweep the SNR grid and average the engine's per-trial rates.
 
-    Every trial retries its draw while the beamformer build is singular and
-    the discarded draws are counted per point.  A point whose mean or
-    std_err is not finite raises ConfigError.  With control(P, B), the
-    exact mean of a control variate at power P and resolved bits B,
-    evaluate returns (trials, 2) rows of rate and control, and each point
-    reports the regression estimate, or the plain one where control(P, B)
-    is None.
+    Every point's bits are resolved before the first draw, so a grid with
+    a point the path cannot take fails before any is computed.  Every
+    trial retries its draw while the beamformer build is singular and the
+    discarded draws are counted per point.  A point whose mean or std_err
+    is not finite raises ConfigError, in place of numpy's overflow and
+    invalid-value warnings.  With control(P, B), the exact mean of a
+    control variate at power P and resolved bits B, evaluate returns
+    (trials, 2) rows of rate and control, and each point reports the
+    regression estimate, or the plain one where control(P, B) is None.
     """
-    means, errs, bits, resamples = [], [], [], []
-    for snr_db in cfg.snr_grid_db:
+    bits = [_resolve_bits(cfg, snr_db) for snr_db in cfg.snr_grid_db]
+    means, errs, resamples = [], [], []
+    for snr_db, B in zip(cfg.snr_grid_db, bits):
         P = 10.0 ** (snr_db / 10.0)
-        B = _resolve_bits(cfg, snr_db)
-        values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                                    lambda *arrays: evaluate(cfg, P, *arrays))
-        if control is None:
-            mean, err = _plain_estimate(values)
-        else:  # each column contiguous, so its sums run in the plain estimate's order
-            rates, controls = np.ascontiguousarray(values.T)
-            mean, err = _regression_estimate(rates, controls, control(P, B))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
+                                        lambda *arrays: evaluate(cfg, P, *arrays))
+            if control is None:
+                mean, err = _plain_estimate(values)
+            else:  # each column contiguous, so its sums run in the plain estimate's order
+                rates, controls = np.ascontiguousarray(values.T)
+                mean, err = _regression_estimate(rates, controls, control(P, B))
         if not (math.isfinite(mean) and math.isfinite(err)):
             raise ConfigError(f"{label} is not finite at SNR {snr_db} dB: a rate overflows")
         means.append(mean)
         errs.append(err)
-        bits.append(B)
         resamples.append(discarded)
     if policy is None:
         policy = "perfect" if cfg.policy is None else cfg.policy.describe()

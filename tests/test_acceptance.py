@@ -15,8 +15,8 @@ from fbmimo.bounds import (ScalingPolicy, ThroughputCurve, ceiling_fixed_B, feed
                            fit_multiplexing_gain, horizontal_offset_db, miso_reference,
                            rate_gap_bound, rvq_bit_penalty, zf_dpc_power_offset_db)
 from fbmimo.numerics import RngStream
-from fbmimo.quantizer import error_ccdf, expected_error, sample_error, sample_errors_brute
-from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig,
+from fbmimo.quantizer import error_ccdf, expected_error, sample_error
+from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, _miso_draw, _trials,
                              collect_zf_statistics, miso_feedback_throughput, mu_throughput,
                              random_bf_throughput, rate_gap, tdma_throughput)
 
@@ -34,12 +34,18 @@ def _analytic_curve(label, grid, M, values):
                            M=M, K=1, policy="analytic", precoder="BF", seed=0)
 
 
+def _brute_errors(m: int, b: int, n: int, seed: int) -> np.ndarray:
+    """Errors Z of trials 0..n-1 of the engine's brute-force draw for one user."""
+    cfg = SimConfig(M=m, K=1, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(b), path=BRUTE_FORCE)
+    return _trials(n, seed, lambda gens: _miso_draw(gens, cfg, b), lambda mag2, z: z)[0]
+
+
 def test_01_quantizer_error_mean(capsys):
-    """Brute-force codebook search reproduces the closed-form mean error."""
+    """The engine's codebook search reproduces the closed-form mean error."""
     parts = []
     ok = True
-    for idx, (m, b) in enumerate([(2, 2), (3, 6), (4, 8), (5, 10)]):
-        samples = sample_errors_brute(m, b, 100_000, RngStream(101, idx).generator())
+    for m, b in [(2, 2), (3, 6), (4, 8), (5, 10)]:
+        samples = _brute_errors(m, b, 100_000, 101)
         mean = samples.mean()
         se = samples.std(ddof=1) / math.sqrt(len(samples))
         want = expected_error(m, b)
@@ -52,9 +58,9 @@ def test_01_quantizer_error_mean(capsys):
 
 
 def test_02_error_distribution(capsys):
-    """Brute-force error samples follow the min-of-betas law (KS at 1%)."""
+    """The engine's brute-force errors follow the min-of-betas law (KS at 1%)."""
     m, b, n = 3, 4, 100_000
-    samples = sample_errors_brute(m, b, n, RngStream(102, 0).generator())
+    samples = _brute_errors(m, b, n, 102)
     cdf = lambda z: 1.0 - error_ccdf(z, m, b)
     stat, p = stats.kstest(samples, cdf)
     _report(capsys, "error_distribution", p > 0.01,

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +486,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error") and "M * 2^B" in err and "Traceback" not in err
 
+    def test_over_cap_point_is_rejected_before_any_codebook_is_drawn(self, monkeypatch, capsys):
+        # exact scaling asks for 0, 10, 20, 30 and 40 bits; at M=4 the cap
+        # is B <= 22, so the 30 dB point is rejected before 0 dB is drawn
+        def no_codebook(*args, **kwargs):
+            raise AssertionError("a codebook was drawn")
+
+        monkeypatch.setattr(simulate, "generate_codebook", no_codebook)
+        code = main(["sweep", "--M", "4", "--scaling", "exact", "--b-gap", "2", "--path", "brute",
+                     "--snr", "0:10:40", "--trials", "2", "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and "30.0 dB" in err
+
     def test_worker_thread_error_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
@@ -546,9 +560,12 @@ class TestExitCodes:
         ids=["overflow", "overflow_miso4x1", "nan", "inf", "minus_inf", "too_many_points",
              "overflow_scaled5x5_offset", "rate_overflow_miso4x1"])
     def test_snr_grid_the_engine_cannot_evaluate_is_exit_2(self, argv, capsys):
-        assert main([*argv, "--trials", "2", "--out", "-"]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--trials", "2", "--out", "-"]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "snr" in err.lower() and "Traceback" not in err
+        assert err.startswith("config error") and err.count("\n") == 1  # the one line
+        assert "snr" in err.lower() and not caught
 
 
 class TestModuleEntryPoint:

@@ -10,9 +10,10 @@ from scipy import integrate, stats
 from scipy.linalg import lu_factor, lu_solve
 
 from fbmimo.errors import DomainError, SingularMatrixError
-from fbmimo.numerics import (RngStream, angle_sin2, haar_unitary, invert, sample_complex_gaussian,
+from fbmimo.numerics import (RngStream, haar_unitary, invert, sample_complex_gaussian,
                              sample_isotropic_unit)
 from fbmimo.quantizer import expected_error
+from helpers import angle_sin2
 
 
 def beta_fn(x: float, y: float) -> float:

@@ -5,10 +5,11 @@ import pytest
 from scipy import stats
 
 from fbmimo.errors import DomainError, SingularMatrixError
-from fbmimo.numerics import RngStream, angle_sin2, sample_complex_gaussian
+from fbmimo.numerics import RngStream, sample_complex_gaussian
 from fbmimo.precoder import rzf_beamformers, zf_beamformers
 from fbmimo.quantizer import sample_error
 from fbmimo.simulate import collect_zf_statistics
+from helpers import angle_sin2
 
 
 def sinr(h: np.ndarray, beams: np.ndarray, i: int, P: float) -> float:

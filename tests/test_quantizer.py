@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from fbmimo.errors import CapacityError, DomainError
-from fbmimo.numerics import (LOG2E, RngStream, angle_sin2, sample_complex_gaussian,
-                             sample_isotropic_unit)
+from fbmimo.numerics import LOG2E, RngStream, sample_complex_gaussian, sample_isotropic_unit
 from fbmimo.quantizer import (MAX_CODEBOOK_ENTRIES, Codebook, _digamma, _enumerable_bits,
                               error_ccdf, error_upper_bound, expected_error,
                               expected_neg_log2_error, expected_optimal_error,
                               generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
-                              quantize, sample_error, sample_errors_brute,
-                              sample_quantized_pair)
+                              quantize, sample_error, sample_quantized_pair)
+from helpers import angle_sin2
 
 
 class TestCodebook:
@@ -294,35 +293,13 @@ class TestSampleQuantizedPair:
 
 
 class TestBruteForceSampler:
-    def test_elementwise_matches_quantize(self):
-        # same draws through the batched path and the object API
-        errs = sample_errors_brute(3, 4, 50, RngStream(12, 0).generator())
-        gen = RngStream(12, 0).generator()
-        h = sample_isotropic_unit(3, gen, size=50)
-        words = sample_isotropic_unit(3, gen, size=50 * 16).reshape(50, 16, 3)
-        manual = [quantize(h[i], Codebook(M=3, B=4, words=words[i])).error_z for i in range(50)]
-        np.testing.assert_allclose(errs, manual, atol=1e-12)
-
-    def test_ccdf_deciles(self):
-        z = sample_errors_brute(3, 4, 100_000, RngStream(13, 0).generator())
-        for q in np.arange(0.1, 1.0, 0.1):
-            threshold = np.quantile(z, q)
-            np.testing.assert_allclose(error_ccdf(float(threshold), 3, 4), 1.0 - q, atol=0.01)
-
-    def test_non_integer_bits_rejected(self):
-        with pytest.raises(DomainError):
-            sample_errors_brute(3, 4.5, 10, RngStream(0, 0).generator())
-
     @pytest.mark.parametrize("B, error", [(-1, DomainError), (4.5, DomainError),
                                           (31, CapacityError), (31.0, CapacityError)])
     def test_rejects_the_bits_generate_codebook_rejects(self, B, error):
         rng = RngStream(0, 0).generator()
         with pytest.raises(error):
             generate_codebook(3, B, rng)
-        with pytest.raises(error):
-            sample_errors_brute(3, B, 10, rng)
         assert generate_codebook(3, 4.0, rng).B == 4
-        assert sample_errors_brute(3, 4.0, 10, rng).shape == (10,)
 
     # the first size over M * 2^B <= 2^24 at each M; nothing is drawn, since
     # the check comes before the codebook's memory is asked for
@@ -332,8 +309,6 @@ class TestBruteForceSampler:
         assert M << B == 2 * MAX_CODEBOOK_ENTRIES
         with pytest.raises(CapacityError):
             generate_codebook(M, B, rng)
-        with pytest.raises(CapacityError):
-            sample_errors_brute(M, B, 10, rng)
         assert _enumerable_bits(M, B - 1) == B - 1
 
 
