@@ -15,8 +15,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixed_B,
                      feedback_bits, fit_multiplexing_gain, horizontal_offset_db,
                      miso_reference, mux_gain_prediction, random_bf_sum_rate,
-                     rate_gap_bound, rvq_bit_penalty, zf_dpc_power_offset_db,
-                     zf_perfect_sum_rate)
+                     rate_gap_bound, rvq_bit_penalty, unitary_sum_rate,
+                     zf_dpc_power_offset_db, zf_perfect_sum_rate)
 from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataError,
                      ResampleLimitError, SingularMatrixError)
 from .numerics import (RngStream, haar_unitary, invert, sample_complex_gaussian,

@@ -323,6 +323,22 @@ def zf_perfect_sum_rate(P: float, M: int) -> float:
     return M * LOG2E * _exp_en(1, M / P) if P > 0.0 else 0.0
 
 
+def unitary_sum_rate(P: float, M: int) -> float:
+    """Mean sum rate of M users on M orthonormal beams, P/M each, that are
+    independent of the channel.
+
+    A user's gain on its own beam is Exp(1) and its gains on the other
+    beams sum to a Gamma(M - 1, 1), independently; the two sum to a
+    Gamma(M, 1).  So the mean is M (E[log2(1 + (P/M) Gamma(M))] -
+    E[log2(1 + (P/M) Gamma(M - 1))]), and 0 at P = 0.
+    """
+    if P < 0.0:
+        raise DomainError(f"P must be >= 0, got {P}")
+    if M < 1:
+        raise DomainError(f"M must be >= 1, got {M}")
+    return M * (_ergodic_rate(P / M, M) - _ergodic_rate(P / M, M - 1))
+
+
 def random_bf_sum_rate(P: float, M: int, K: int) -> float | None:
     """Mean of R = sum_m log2(1 + max_k SINR_km) over M random orthonormal
     beams at power P/M each and K users, or None where the sum below

@@ -152,15 +152,20 @@ class _Curve:
     precoder: str = ZF
 
 
-def _run_curve(spec: ExperimentSpec, curve: _Curve, M: int, grid: tuple,
-               K: int | None = None) -> ThroughputCurve:
-    name, default_path, _ = _ENGINES[curve.engine]
+def _curve_config(spec: ExperimentSpec, curve: _Curve, M: int, grid: tuple,
+                  K: int | None = None) -> sim.SimConfig:
     if K is None:
         K = 1 if curve.engine == "miso" else M
-    cfg = sim.SimConfig(M=M, K=K, snr_grid_db=grid, policy=curve.policy, precoder=curve.precoder,
-                        path=_PATH_ALIASES[spec.path] if spec.path else default_path,
-                        trials=spec.trials, seed=spec.seed)
-    engine = getattr(sim, name)
+    return sim.SimConfig(M=M, K=K, snr_grid_db=grid, policy=curve.policy,
+                         precoder=curve.precoder,
+                         path=_PATH_ALIASES[spec.path] if spec.path else _ENGINES[curve.engine][1],
+                         trials=spec.trials, seed=spec.seed)
+
+
+def _run_curve(spec: ExperimentSpec, curve: _Curve, M: int, grid: tuple,
+               K: int | None = None) -> ThroughputCurve:
+    cfg = _curve_config(spec, curve, M, grid, K)
+    engine = getattr(sim, _ENGINES[curve.engine][0])
     return engine(cfg, label=curve.label) if curve.label else engine(cfg)
 
 
@@ -254,6 +259,9 @@ def _write_csv(out: str | None, experiment: str, header: list[str], rows: list[l
 def _run_figure(spec: ExperimentSpec) -> int:
     M, default_grid, entries = _PRESETS[spec.figure_id]
     grid = parse_snr_grid(spec.snr or default_grid)
+    for entry in entries:  # a curve the path cannot take fails before any is drawn
+        if isinstance(entry, _Curve):
+            sim.grid_bits(_curve_config(spec, entry, M, grid))
     curves = []
     for entry in entries:
         curves += entry(spec, M, grid) if callable(entry) else [_run_curve(spec, entry, M, grid)]

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ScalingPolicy, ThroughputCurve, random_bf_sum_rate, zf_perfect_sum_rate
+from .bounds import (ScalingPolicy, ThroughputCurve, random_bf_sum_rate, unitary_sum_rate,
+                     zf_perfect_sum_rate)
 from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -115,6 +116,13 @@ def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
                             "use the fast_decomposition path") from None
 
 
+def grid_bits(cfg: SimConfig) -> list[float]:
+    """The feedback bits of every grid point, as the engines resolve them.
+    Raises CapacityError, before anything is drawn, if the brute path
+    cannot enumerate a point's codebook."""
+    return [_resolve_bits(cfg, snr_db) for snr_db in cfg.snr_grid_db]
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -200,12 +208,14 @@ def _sum_rate(H: np.ndarray, vectors: np.ndarray, P: float) -> np.ndarray:
     return np.log2(1.0 + signal / (1.0 + interference)).sum(axis=-1)
 
 
-def _error_sum(H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
-    """Per-trial sum of the users' quantization errors Z_i = 1 - |h_dir_i^H
-    h_hat_i|^2, each clamped to [0, 1], for channel rows H and unit
-    directions h_hat of shape (trials, K, M)."""
-    cos = _vdot_rows(H / np.linalg.norm(H, axis=-1, keepdims=True), h_hat)
-    return np.clip(1.0 - (cos.real * cos.real + cos.imag * cos.imag), 0.0, 1.0).sum(axis=-1)
+def _nearest_unitary(beams: np.ndarray) -> np.ndarray:
+    """U V^H for each beam matrix U S V^H (its SVD): the unitary nearest it,
+    its polar factor.  All NaN if a beam matrix is not finite, as the rate
+    on it is then too; the SVD would not converge."""
+    if not np.isfinite(beams).all():
+        return np.full_like(beams, np.nan)
+    u, _, vh = np.linalg.svd(beams)
+    return u @ vh
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -247,7 +257,7 @@ def _trials(n_trials: int, seed: int, draw, evaluate) -> tuple[np.ndarray, int]:
 
 
 # Each engine is a draw(gens, cfg, B) -> arrays with one row per trial and
-# an evaluate(cfg, P, *arrays) -> one value per trial.
+# an evaluate(cfg, P, B, *arrays) -> one value per trial.
 
 def _mu_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     """H and the directions the transmitter knows: H itself under perfect CSIT."""
@@ -257,34 +267,38 @@ def _mu_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     return _draw_quantized(gens, cfg.M, cfg.K, B, cfg.path)[:2]
 
 
-def _mu_rates(cfg: SimConfig, P: float, H: np.ndarray, directions: np.ndarray) -> np.ndarray:
+def _quantized_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
+    """H, the quantized directions h_hat, and each user's ||h||^2 and error Z."""
+    return _draw_quantized(gens, cfg.M, cfg.K, B, cfg.path)
+
+
+def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
+              directions: np.ndarray) -> np.ndarray:
     G = directions.conj()
     return _sum_rate(H, zf_beamformers(G) if cfg.precoder == ZF else rzf_beamformers(G, P), P)
 
 
-def _zf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
-                          h_hat: np.ndarray) -> np.ndarray:
-    """Quantized-ZF sum rates and, as their control variate, the sum rate
-    the same beams v_i would give if each channel lay along its quantized
-    direction, sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2): shape
-    (trials, 2).  One ZF build per stack serves both."""
-    beams = zf_beamformers(h_hat.conj())
-    gain = _vdot_rows(h_hat, np.swapaxes(beams, -1, -2))
-    mag2 = _vdot_rows(H, H).real
-    control = np.log2(1.0 + (P / cfg.M) * mag2 * (gain.real * gain.real + gain.imag * gain.imag))
-    return np.stack([_sum_rate(H, beams, P), control.sum(axis=-1)], axis=-1)
+def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
+                     mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Quantized-CSIT sum rates, S and, where B > 0, C1' on the ZF beams of
+    h_hat, else the rate on the polar factor of the rate's beams: shape
+    (trials, 3).  See mu_throughput."""
+    G = h_hat.conj()
+    zf = zf_beamformers(G) if cfg.precoder == ZF or B > 0 else None
+    beams = zf if cfg.precoder == ZF else rzf_beamformers(G, P)
+    if B > 0:
+        gain = _vdot_rows(h_hat, np.swapaxes(zf, -1, -2))
+        second = np.log2(1.0 + (P / cfg.M) * mag2 * (gain.real * gain.real
+                                                      + gain.imag * gain.imag)).sum(axis=-1)
+    else:
+        second = _sum_rate(H, _nearest_unitary(beams), P)
+    return np.stack([_sum_rate(H, beams, P), z.sum(axis=-1), second], axis=-1)
 
 
-def _rzf_rates_and_control(cfg: SimConfig, P: float, H: np.ndarray,
-                           h_hat: np.ndarray) -> np.ndarray:
-    """Quantized-RZF sum rates and, as their control variate, the sum of
-    the users' quantization errors on the same draws: shape (trials, 2)."""
-    return np.stack([_mu_rates(cfg, P, H, h_hat), _error_sum(H, h_hat)], axis=-1)
-
-
-def _gap_rates(cfg: SimConfig, P: float, H: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+def _gap_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
+               h_hat: np.ndarray) -> np.ndarray:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
-    return (_mu_rates(cfg, P, H, H) - _mu_rates(cfg, P, H, h_hat)) / cfg.M
+    return (_mu_rates(cfg, P, B, H, H) - _mu_rates(cfg, P, B, H, h_hat)) / cfg.M
 
 
 def _miso_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
@@ -293,11 +307,12 @@ def _miso_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     return mag2[:, 0], z[:, 0]
 
 
-def _miso_rates(cfg: SimConfig, P: float, mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _miso_rates(cfg: SimConfig, P: float, B: float, mag2: np.ndarray,
+                z: np.ndarray) -> np.ndarray:
     return _log2(1.0 + P * mag2 * (1.0 - z))
 
 
-def _tdma_rates(cfg: SimConfig, P: float, H: np.ndarray, _: np.ndarray) -> np.ndarray:
+def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, _: np.ndarray) -> np.ndarray:
     best = np.max(np.sum(np.abs(H) ** 2, axis=-1), axis=-1)
     return _log2(1.0 + P * best)
 
@@ -306,7 +321,8 @@ def _random_bf_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     return sample_complex_gaussian(cfg.M, gens, size=cfg.K), haar_unitary(cfg.M, gens)
 
 
-def _random_bf_rates(cfg: SimConfig, P: float, H: np.ndarray, beams: np.ndarray) -> np.ndarray:
+def _random_bf_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
+                     beams: np.ndarray) -> np.ndarray:
     """Random-beamforming sum rates and, as their control variate, the sum
     over beams of log2(1 + the beam's best SINR) on the same draw, where a
     user may be best on several beams: shape (trials, 2)."""
@@ -330,30 +346,39 @@ def _plain_estimate(rates: np.ndarray) -> tuple[float, float]:
     return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
-def _regression_estimate(rates: np.ndarray, control: np.ndarray,
-                         control_mean: float | None) -> tuple[float, float]:
+def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
+                         control_means: tuple) -> tuple[float, float]:
     """Control-variate estimate of the mean of `rates`, and its std_err.
 
-    mean(rates) - beta (mean(control) - control_mean) with the least-squares
-    beta, and the residuals' standard deviation on n - 2 degrees of freedom
-    over sqrt(n) (Glasserman, Monte Carlo Methods in Financial Engineering,
-    2004, section 4.1).  Below 3 trials, for a constant control, or with no
-    control_mean (None), the plain mean and std_err.
+    controls holds one row per control variate and control_means their
+    exact means; a row whose mean is None, or that is constant, is dropped.
+    The estimate is mean(rates) - beta . (mean(controls) - control_means),
+    with beta the least-squares fit of the centred rates on the k centred
+    controls (by the normal equations), and the std_err is the residuals' standard deviation on
+    n - 1 - k degrees of freedom over sqrt(n) (Glasserman, Monte Carlo
+    Methods in Financial Engineering, 2004, section 4.1).  With no control
+    left or fewer than k + 2 trials, the plain mean and std_err.
     """
     n = len(rates)
-    if control_mean is None:
-        return _plain_estimate(rates)
-    control_bar = float(control.mean())
-    dc = control - control_bar
-    sxx = float((dc * dc).sum())
-    if n < 3 or sxx == 0.0:
+    rows = [j for j, mean in enumerate(control_means) if mean is not None]
+    exact = np.array([control_means[j] for j in rows], dtype=float)
+    bars = controls[rows].mean(axis=-1)
+    dc = controls[rows] - bars[:, None]
+    scale = np.sqrt((dc * dc).sum(axis=-1))
+    varies = scale > 0.0
+    k = int(varies.sum())
+    if k == 0 or n < k + 2:
         return _plain_estimate(rates)
     rate_bar = float(rates.mean())
     dy = rates - rate_bar
-    beta = float((dc * dy).sum()) / sxx
-    residual = dy - beta * dc
-    return (rate_bar - beta * (control_bar - control_mean),
-            math.sqrt(float((residual * residual).sum()) / ((n - 2) * n)))
+    # unit-norm columns keep the normal equations well scaled when one
+    # control is far smaller than another (S is ~1e-17 at large B)
+    design = dc[varies] / scale[varies, None]
+    beta = np.linalg.solve(design @ design.T, design @ dy)
+    residual = dy - beta @ design
+    shift = (bars - exact)[varies] / scale[varies]
+    return (rate_bar - float(beta @ shift),
+            math.sqrt(float((residual * residual).sum()) / ((n - 1 - k) * n)))
 
 
 def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None,
@@ -364,26 +389,28 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     a point the path cannot take fails before any is computed.  Every
     trial retries its draw while the beamformer build is singular and the
     discarded draws are counted per point.  A point whose mean or std_err
-    is not finite raises ConfigError, in place of numpy's overflow and
-    invalid-value warnings.  With control(P, B), the exact mean of a
-    control variate at power P and resolved bits B, evaluate returns
-    (trials, 2) rows of rate and control, and each point reports the
-    regression estimate, or the plain one where control(P, B) is None.
+    is not finite raises ConfigError, in place of numpy's overflow,
+    invalid-value and divide-by-zero warnings.  With control(P, B), the
+    exact means of k control variates at power P and resolved bits B,
+    evaluate returns (trials, 1 + k) rows of rate and controls, and each
+    point reports the regression estimate on the controls whose mean is
+    not None.
     """
-    bits = [_resolve_bits(cfg, snr_db) for snr_db in cfg.snr_grid_db]
+    bits = grid_bits(cfg)
     means, errs, resamples = [], [], []
     for snr_db, B in zip(cfg.snr_grid_db, bits):
         P = 10.0 ** (snr_db / 10.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                                        lambda *arrays: evaluate(cfg, P, *arrays))
+                                        lambda *arrays: evaluate(cfg, P, B, *arrays))
             if control is None:
                 mean, err = _plain_estimate(values)
             else:  # each column contiguous, so its sums run in the plain estimate's order
-                rates, controls = np.ascontiguousarray(values.T)
-                mean, err = _regression_estimate(rates, controls, control(P, B))
+                columns = np.ascontiguousarray(values.T)
+                mean, err = _regression_estimate(columns[0], columns[1:], control(P, B))
         if not (math.isfinite(mean) and math.isfinite(err)):
-            raise ConfigError(f"{label} is not finite at SNR {snr_db} dB: a rate overflows")
+            raise ConfigError(f"{label} is not finite at SNR {snr_db} dB: "
+                              "a rate or beam is not finite")
         means.append(mean)
         errs.append(err)
         resamples.append(discarded)
@@ -405,29 +432,38 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     """Sum throughput M * E[log2(1 + SINR)] for the M-antenna, K=M-user
     downlink under the configured precoder and CSIT model.
 
-    Quantized-CSIT points are control-variate (regression) estimates, with
-    a control computed on each trial's own draw whose mean is exact.  For
-    ZF it is sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
-    quantized ZF beams v_i the rate uses.  The h_hat_i are iid isotropic
-    (drawn so on the fast path; on the brute path the random codebook is
-    unitarily invariant), independent of every ||h_j||^2, and ZF beams
-    depend only on row directions, so it has the law of the perfect-CSIT
-    ZF sum rate and the exact mean bounds.zf_perfect_sum_rate(P, M).  For
-    RZF it is the users' summed quantization errors Z_i = 1 -
-    |h_dir_i^H h_hat_i|^2, with mean K * quantizer.expected_error(M, B) at
-    the point's resolved bits B (on the brute path, B rounded up), since
-    both paths draw each Z_i from the random-codebook law.  Perfect-CSIT
-    points are plain means.
+    Quantized-CSIT points are control-variate (regression) estimates on
+    two controls computed on each trial's own draw, both with exact means.
+    The first is S = sum_i Z_i, the users' quantization errors as drawn,
+    with mean K * quantizer.expected_error(M, B) at the point's resolved
+    bits B (on the brute path, B rounded up), since both paths draw each
+    Z_i from the random-codebook law.  The second depends on B:
+
+    - B > 0: C1' = sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
+      ZF beams v_i of the quantized directions.  The h_hat_i are iid
+      isotropic (drawn so on the fast path; on the brute path the random
+      codebook is unitarily invariant), independent of every ||h_j||^2,
+      and ZF beams depend only on row directions, so C1' has the law of the
+      perfect-CSIT ZF sum rate, with mean bounds.zf_perfect_sum_rate(P, M).
+      For ZF these are the rate's own beams.  RZF builds them too, so an
+      RZF point with B > 0 redraws a trial whose quantized directions are
+      singular, as ZF does.
+    - B = 0: the sum rate on Q = U V^H, the unitary nearest the rate's own
+      beam matrix U S V^H.  A one-word codebook carries no information, so
+      on both paths Q is independent of H, each user's gain on its own
+      column is Exp(1) and on the others Gamma(M - 1, 1), independently;
+      the mean is bounds.unitary_sum_rate(P, M).
+
+    Perfect-CSIT points are plain means.
     """
     _require_square(cfg)
     if cfg.policy is None:
         return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _mu_draw, _mu_rates)
-    label = label or f"{cfg.precoder.lower()}_quantized"
-    if cfg.precoder == ZF:
-        return _curve(cfg, label, _mu_draw, _zf_rates_and_control,
-                      control=lambda P, B: zf_perfect_sum_rate(P, cfg.M))
-    return _curve(cfg, label, _mu_draw, _rzf_rates_and_control,
-                  control=lambda P, B: cfg.K * expected_error(cfg.M, B))
+    return _curve(cfg, label or f"{cfg.precoder.lower()}_quantized", _quantized_draw,
+                  _quantized_rates,
+                  control=lambda P, B: (cfg.K * expected_error(cfg.M, B),
+                                        zf_perfect_sum_rate(P, cfg.M) if B > 0
+                                        else unitary_sum_rate(P, cfg.M)))
 
 
 def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
@@ -476,7 +512,8 @@ def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> Throughput
         raise ConfigError(f"random beamforming requires K >= M, got K={cfg.K}, M={cfg.M}")
     return _curve(replace(cfg, policy=None), label, _random_bf_draw, _random_bf_rates,
                   policy="random_bf/max-sinr-claim", precoder="BF",
-                  control=lambda P, B: random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1 else None)
+                  control=lambda P, B: (random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1
+                                        else None,))
 
 
 def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,

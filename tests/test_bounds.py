@@ -11,7 +11,8 @@ from fbmimo import bounds
 from fbmimo.bounds import (ScalingPolicy, ThroughputCurve, ceiling_fixed_B, feedback_bits,
                            fit_multiplexing_gain, horizontal_offset_db, miso_reference,
                            mux_gain_prediction, random_bf_sum_rate, rate_gap_bound,
-                           rvq_bit_penalty, zf_dpc_power_offset_db, zf_perfect_sum_rate)
+                           rvq_bit_penalty, unitary_sum_rate, zf_dpc_power_offset_db,
+                           zf_perfect_sum_rate)
 from fbmimo.errors import DomainError, InsufficientDataError
 from fbmimo.numerics import LOG2E, LOG2_10
 
@@ -387,6 +388,34 @@ class TestErgodicRate:
     def test_zero_power(self):
         assert bounds._ergodic_rate(0.0, 4) == 0.0
         assert miso_reference(10.0, 4, 0).r_fb_approx == 0.0  # 1 - 2^0 = 0
+
+
+class TestUnitarySumRate:
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_matches_mpmath_quadrature(self, M):
+        # Given the interference Y ~ Gamma(M - 1, 1), a user's rate
+        # log2(1 + rho (X + Y)) - log2(1 + rho Y) with X ~ Exp(1) has mean
+        # log2(e) e^c E1(c), c = 1/rho + Y; integrate that over Y at 30
+        # digits.  Bound fixed before the first run: 1e-12 relative.
+        mp.mp.dps = 30
+        try:
+            for P in (0.1, 1.0, 100.0):
+                rho = mp.mpf(P) / M
+                density = lambda y: y ** (M - 2) * mp.exp(-y) / mp.factorial(M - 2)
+                per_user = lambda y: mp.exp(1 / rho + y) * mp.e1(1 / rho + y) * density(y)
+                edges = sorted({0, 1, M, 4 * M, 16 * M})
+                want = M * mp.quad(per_user, [*edges, mp.inf]) / mp.log(2)
+                got = unitary_sum_rate(P, M)
+                assert abs(float(got / want) - 1.0) <= 1e-12, (M, P)
+        finally:
+            mp.mp.dps = 15
+
+    def test_edges_and_domain(self):
+        assert unitary_sum_rate(0.0, 4) == 0.0
+        assert unitary_sum_rate(1.0, 1) == bounds._ergodic_rate(1.0, 1)  # no interference
+        for args in ((-1.0, 4), (1.0, 0)):
+            with pytest.raises(DomainError):
+                unitary_sum_rate(*args)
 
 
 def _random_bf_oracle(P: float, M: int, K: int) -> mp.mpf:

@@ -499,6 +499,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error") and "30.0 dB" in err
 
+    def test_figure_rejects_a_later_curve_before_any_codebook_is_drawn(self, monkeypatch,
+                                                                       capsys):
+        # mux4x4's alpha = 3.9 curve asks for 25.9 bits at 20 dB, over the
+        # brute cap; the alpha = 1.5 curve before it would draw codebooks
+        def no_codebook(*args, **kwargs):
+            raise AssertionError("a codebook was drawn")
+
+        monkeypatch.setattr(simulate, "generate_codebook", no_codebook)
+        code = main(["figure", "mux4x4", "--path", "brute", "--trials", "1", "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error") and "20.0 dB" in err
+
     def test_worker_thread_error_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
@@ -547,7 +560,9 @@ class TestExitCodes:
     # Grids the engine cannot evaluate: 10^(dB/10) overflows above about
     # 3082.5 dB, ends that are not finite, and more points than the cap.
     # scaled5x5's offset reference shifts 3077 dB up past the overflow, and
-    # at 3080 dB miso's P ||h||^2 (1 - Z) overflows though P does not.
+    # at 3080 dB miso's P ||h||^2 (1 - Z) overflows though P does not.  At
+    # -2000 dB an RZF beam's norm underflows to 0, so the beam is not
+    # finite; at B = 0 the polar control's SVD would then not converge.
     @pytest.mark.parametrize("argv", [
         ["sweep", "--csit", "perfect", "--snr=4000:10:4000"],
         ["figure", "miso4x1", "--snr=4000:10:4000"],
@@ -556,9 +571,12 @@ class TestExitCodes:
         ["sweep", "--csit", "perfect", "--snr=-inf:1:0"],
         ["sweep", "--csit", "perfect", "--snr=0:1e-15:1"],
         ["figure", "scaled5x5", "--snr=3077:1:3077"],
-        ["figure", "miso4x1", "--snr=3000:40:3080"]],
+        ["figure", "miso4x1", "--snr=3000:40:3080"],
+        ["sweep", "--precoder", "RZF", "--csit", "perfect", "--M", "8", "--snr=-2000:10:-2000"],
+        ["sweep", "--precoder", "RZF", "--B", "0", "--M", "8", "--snr=-2000:10:-2000"]],
         ids=["overflow", "overflow_miso4x1", "nan", "inf", "minus_inf", "too_many_points",
-             "overflow_scaled5x5_offset", "rate_overflow_miso4x1"])
+             "overflow_scaled5x5_offset", "rate_overflow_miso4x1", "rzf_beam_underflow",
+             "rzf_beam_underflow_polar"])
     def test_snr_grid_the_engine_cannot_evaluate_is_exit_2(self, argv, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

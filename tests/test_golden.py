@@ -13,10 +13,22 @@ other numbers to rtol 1e-12: that ignores last-bit libm and SIMD
 differences between machines, while a change to the RNG contract or to an
 estimator moves a mean by about one std_err.  A change that regenerates a
 file says which one and why in CHANGES.md.
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+reruns every golden output and prints, per file that differs, the number of
+differing cells in each column and the curves they are in.  It writes
+nothing, so it shows which cells a change moves before any file is
+regenerated.
 """
 
+import argparse
+import contextlib
 import csv
+import io
 import math
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,14 +63,53 @@ def _same_cell(got: str, want: str) -> bool:
     return (math.isnan(g) and math.isnan(w)) or math.isclose(g, w, rel_tol=1e-12)
 
 
+def _read(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _csv_differences(got: list[list[str]], want: list[list[str]]) -> str | None:
+    """The differing cells of two CSVs counted per column, with the curves
+    they are in; None if the two match."""
+    if got[0] != want[0] or len(got) != len(want):
+        return f"header or row count differs ({len(got) - 1} rows, golden {len(want) - 1})"
+    columns, curves = Counter(), []
+    for got_row, want_row in zip(got[1:], want[1:]):
+        cells = [name for name, g, w in zip(want[0], got_row, want_row) if not _same_cell(g, w)]
+        columns.update(cells)
+        if cells and want_row[1] not in curves:
+            curves.append(want_row[1])
+    if not columns:
+        return None
+    counts = ", ".join(f"{name} {n}" for name, n in columns.items())
+    return f"{counts}; curves {', '.join(curves)}"
+
+
+def diff_golden() -> list[str]:
+    """One line per golden output that a fresh run does not reproduce."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(GOLDEN):
+            out = Path(tmp) / name
+            main([*GOLDEN[name], "--out", str(out)])
+            found = _csv_differences(_read(out), _read(GOLDEN_DIR / name))
+            if found:
+                lines.append(f"{name}: {found}")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        main(["validate", "bounds", "--trials", "100", "--seed", "42"])
+    want = (GOLDEN_DIR / "validate_bounds.txt").read_text().splitlines()
+    moved = [w.split(":")[0] for g, w in zip(stdout.getvalue().splitlines(), want) if g != w]
+    if moved or len(stdout.getvalue().splitlines()) != len(want):
+        lines.append(f"validate_bounds.txt: lines {', '.join(moved) or 'added or removed'}")
+    return lines
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main([*GOLDEN[name], "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        got = list(csv.reader(fh))
-    with open(GOLDEN_DIR / name, newline="") as fh:
-        want = list(csv.reader(fh))
+    got, want = _read(out), _read(GOLDEN_DIR / name)
     assert got[0] == want[0]
     assert len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
@@ -69,3 +120,20 @@ def test_csv_matches_golden(name, tmp_path):
 def test_validate_matches_golden(capsys):
     assert main(["validate", "bounds", "--trials", "100", "--seed", "42"]) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "validate_bounds.txt").read_text()
+
+
+def test_differences_are_counted_per_column():
+    want = [["experiment", "curve", "throughput_bps_hz", "trials"],
+            ["f", "a", "1.0", "40"], ["f", "b", "2.0", "40"]]
+    assert _csv_differences([row[:] for row in want], want) is None
+    got = [want[0], ["f", "a", "1.5", "40"], ["f", "b", "2.0", "41"]]
+    assert _csv_differences(got, want) == "throughput_bps_hz 1, trials 1; curves a, b"
+    assert _csv_differences(got[:2], want).startswith("header or row count")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Compare fresh runs with tests/golden.")
+    parser.add_argument("--diff", action="store_true", required=True,
+                        help="print each golden file's differing cells, counted per column")
+    parser.parse_args()
+    print("\n".join(diff_golden()) or "every golden output matches")

@@ -9,7 +9,8 @@ from scipy import integrate, stats
 
 from fbmimo import numerics
 from fbmimo import simulate as sim
-from fbmimo.bounds import ScalingPolicy, random_bf_sum_rate, zf_perfect_sum_rate
+from fbmimo.bounds import (ScalingPolicy, random_bf_sum_rate, unitary_sum_rate,
+                           zf_perfect_sum_rate)
 from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -275,7 +276,7 @@ class TestRandomBf:
             P = 10.0 ** (snr_db / 10.0)
             values, _ = sim._trials(cfg.trials, cfg.seed,
                                     lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
-                                    lambda *arrays: sim._random_bf_rates(cfg, P, *arrays))
+                                    lambda *arrays: sim._random_bf_rates(cfg, P, math.nan, *arrays))
             rates = values[:, 0].copy()
             assert curve.mean_bps_hz[j] == rates.mean()
             assert curve.std_err[j] == rates.std(ddof=1) / math.sqrt(cfg.trials)
@@ -297,36 +298,84 @@ class TestErrorBars:
 
 
 class TestControlVariate:
-    """Quantized-CSIT and random-beamforming points use a control variate
-    on each trial's own draw with an exact mean: for ZF the rate the
-    quantized ZF beams would give if each channel lay along its quantized
-    direction, which has the law of the perfect-CSIT ZF rate; for RZF the
-    users' summed quantization errors; and for random beamforming the sum
-    of every beam's best-user rate."""
+    """Quantized-CSIT and random-beamforming points are regression
+    estimates on control variates computed on each trial's own draw, with
+    exact means.  Quantized CSIT uses two: the users' summed quantization
+    errors S, and, where B > 0, the rate the quantized ZF beams would give
+    if each channel lay along its quantized direction (the law of the
+    perfect-CSIT ZF rate), or at B = 0 the rate on the unitary nearest the
+    rate's own beams.  Random beamforming uses the sum of every beam's
+    best-user rate."""
+
+    @staticmethod
+    def _least_squares(rates, controls, control_means):
+        # the intercept of rates on [1, controls - means], and its std_err
+        n, k = len(rates), len(controls)
+        design = np.column_stack([np.ones(n), *(c - m for c, m in zip(controls, control_means))])
+        coef, residual_ss = np.linalg.lstsq(design, rates, rcond=None)[:2]
+        return coef[0], math.sqrt(residual_ss[0] / (n - 1 - k) / n)
 
     def test_estimate_is_the_least_squares_intercept(self):
         gen = RngStream(23, 0).generator()
         control = gen.gamma(2.0, 1.0, size=50)
         rates = 0.7 * control + gen.standard_normal(50)
-        mean, err = sim._regression_estimate(rates, control, 2.0)
-        design = np.column_stack([np.ones(50), control - 2.0])
-        coef, residual_ss = np.linalg.lstsq(design, rates, rcond=None)[:2]
-        np.testing.assert_allclose(mean, coef[0], rtol=1e-12)
-        np.testing.assert_allclose(err, math.sqrt(residual_ss[0] / 48 / 50), rtol=1e-12)
+        got = sim._regression_estimate(rates, control[None], (2.0,))
+        np.testing.assert_allclose(got, self._least_squares(rates, [control], (2.0,)),
+                                   rtol=1e-12)
+
+    def test_two_controls_are_the_least_squares_intercept(self):
+        # bound fixed before the first run: 1e-12 relative
+        gen = RngStream(23, 1).generator()
+        controls = np.array([gen.gamma(2.0, 1.0, size=80), gen.standard_normal(80)])
+        rates = 0.7 * controls[0] - 1.3 * controls[1] + 0.5 * gen.standard_normal(80)
+        got = sim._regression_estimate(rates, controls, (2.0, 0.1))
+        np.testing.assert_allclose(got, self._least_squares(rates, controls, (2.0, 0.1)),
+                                   rtol=1e-12)
+        # the estimate does not depend on a control's scale, even with the
+        # columns 1e17 apart, where unscaled normal equations would be singular
+        # to working precision
+        scaled = controls * np.array([[1e-17], [1.0]])
+        got = sim._regression_estimate(rates, scaled, (2e-17, 0.1))
+        np.testing.assert_allclose(got, self._least_squares(rates, controls, (2.0, 0.1)),
+                                   rtol=1e-12)
 
     def test_plain_estimate_below_three_trials_or_for_a_constant_control(self):
         rates = np.array([1.0, 2.0, 4.0])
         plain = (rates.mean(), rates.std(ddof=1) / math.sqrt(3))
-        assert sim._regression_estimate(rates, np.full(3, 5.0), 1.0) == plain
-        assert sim._regression_estimate(rates[:2], rates[:2] ** 2, 9.0) == (
+        assert sim._regression_estimate(rates, np.full((1, 3), 5.0), (1.0,)) == plain
+        assert sim._regression_estimate(rates[:2], rates[None, :2] ** 2, (9.0,)) == (
             1.5, rates[:2].std(ddof=1) / math.sqrt(2))
-        assert sim._regression_estimate(rates[:1], rates[:1], 9.0) == (1.0, 0.0)
+        assert sim._regression_estimate(rates[:1], rates[None, :1], (9.0,)) == (1.0, 0.0)
+        assert sim._regression_estimate(rates, rates[None], (None,)) == plain
+
+    def test_plain_estimate_below_k_plus_two_trials(self):
+        # two varying controls need 4 trials, and constant ones do not count
+        rates = np.array([1.0, 2.0, 4.0, 3.0])
+        two = np.array([rates ** 2, np.sqrt(rates)])
+        plain = (rates[:3].mean(), rates[:3].std(ddof=1) / math.sqrt(3))
+        assert sim._regression_estimate(rates[:3], two[:, :3], (9.0, 1.0)) == plain
+        assert sim._regression_estimate(rates, two, (9.0, 1.0)) != (
+            rates.mean(), rates.std(ddof=1) / math.sqrt(4))
+        constant = np.array([np.full(3, 2.0), np.full(3, 5.0)])
+        assert sim._regression_estimate(rates[:3], constant, (9.0, 1.0)) == plain
+
+    def test_a_constant_control_or_one_without_a_mean_is_dropped(self):
+        gen = RngStream(23, 2).generator()
+        control = gen.gamma(2.0, 1.0, size=40)
+        rates = 0.7 * control + gen.standard_normal(40)
+        one = sim._regression_estimate(rates, control[None], (2.0,))
+        with_constant = np.array([np.full(40, 3.0), control])
+        np.testing.assert_allclose(sim._regression_estimate(rates, with_constant, (1.0, 2.0)),
+                                   one, rtol=1e-12)
+        without_mean = np.array([control, gen.standard_normal(40)])
+        np.testing.assert_allclose(sim._regression_estimate(rates, without_mean, (2.0, None)),
+                                   one, rtol=1e-12)
 
     def test_variance_cut_at_ten_db(self):
         # M=4, B=10, 10 dB: the control explains most of the variance
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=3000)
         rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 10.0),
-                               lambda *arrays: sim._mu_rates(cfg, 10.0, *arrays))
+                               lambda *arrays: sim._mu_rates(cfg, 10.0, 10.0, *arrays))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 1.5
 
@@ -335,22 +384,36 @@ class TestControlVariate:
         # first run: more than 5x (7.55x measured with seed 5)
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), path=BRUTE_FORCE, trials=3000)
         rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 10.0),
-                               lambda *arrays: sim._mu_rates(cfg, 10.0, *arrays))
+                               lambda *arrays: sim._mu_rates(cfg, 10.0, 10.0, *arrays))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 5.0
+
+    @staticmethod
+    def _quantized_columns(cfg, B, P):
+        values, _ = sim._trials(cfg.trials, cfg.seed,
+                                lambda gens: sim._quantized_draw(gens, cfg, B),
+                                lambda *arrays: sim._quantized_rates(cfg, P, B, *arrays))
+        return values
+
+    def _check_same_beam_mean(self, path, B, trials, precoder):
+        # Bound fixed before the first run: the mean of the engine's
+        # per-trial C1' is within 4 of its std_errs of the perfect-CSIT ZF
+        # mean (two-sided normal tail 6e-5).
+        cfg = _cfg(M=4, K=4, path=path, precoder=precoder, trials=trials)
+        control = self._quantized_columns(cfg, B, 10.0)[:, 2]
+        err = control.std(ddof=1) / math.sqrt(trials)
+        assert abs(control.mean() - zf_perfect_sum_rate(10.0, cfg.M)) <= 4.0 * err
 
     @pytest.mark.parametrize("path, B, trials", [(FAST_DECOMPOSITION, 7.5, 4000),
                                                  (BRUTE_FORCE, 6.0, 2000)])
     def test_same_beam_control_has_the_closed_form_mean(self, path, B, trials):
-        # Bound fixed before the first run: the mean of the engine's
-        # per-trial ZF control is within 4 of its std_errs of the
-        # perfect-CSIT ZF mean (two-sided normal tail 6e-5).
-        cfg = _cfg(M=4, K=4, path=path, trials=trials)
-        values, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, B),
-                                lambda *arrays: sim._zf_rates_and_control(cfg, 10.0, *arrays))
-        control = values[:, 1]
-        err = control.std(ddof=1) / math.sqrt(trials)
-        assert abs(control.mean() - zf_perfect_sum_rate(10.0, cfg.M)) <= 4.0 * err
+        self._check_same_beam_mean(path, B, trials, ZF)
+
+    @pytest.mark.parametrize("path, B, trials", [(FAST_DECOMPOSITION, 7.5, 4000),
+                                                 (BRUTE_FORCE, 6.0, 2000)])
+    def test_rzf_same_beam_control_has_the_closed_form_mean(self, path, B, trials):
+        # RZF builds the ZF beams of h_hat for C1' alone
+        self._check_same_beam_mean(path, B, trials, RZF)
 
     @pytest.mark.parametrize("path, B", [(FAST_DECOMPOSITION, 7.5), (BRUTE_FORCE, 6.0)])
     def test_same_beam_control_has_the_perfect_csit_law(self, path, B):
@@ -361,13 +424,26 @@ class TestControlVariate:
         # draws correlate the two positively, which makes it rarer still.
         cfg = _cfg(M=4, K=4, path=path, trials=2000)
 
-        def both(H, h_hat):
-            return np.stack([sim._zf_rates_and_control(cfg, 10.0, H, h_hat)[:, 1],
-                             sim._mu_rates(cfg, 10.0, H, H)], axis=-1)
+        def both(H, h_hat, mag2, z):
+            return np.stack([sim._quantized_rates(cfg, 10.0, B, H, h_hat, mag2, z)[:, 2],
+                             sim._mu_rates(cfg, 10.0, B, H, H)], axis=-1)
 
-        values, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, B),
-                                both)
+        values, _ = sim._trials(cfg.trials, cfg.seed,
+                                lambda gens: sim._quantized_draw(gens, cfg, B), both)
         assert stats.ks_2samp(values[:, 0], values[:, 1]).pvalue > 0.01
+
+    @pytest.mark.parametrize("precoder", [ZF, RZF])
+    @pytest.mark.parametrize("path", [FAST_DECOMPOSITION, BRUTE_FORCE])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    def test_polar_control_has_the_closed_form_mean(self, path, precoder, snr_db):
+        # Bound fixed before the first run: at B = 0 the mean of the rate on
+        # the unitary nearest the rate's beams is within 4 of its std_errs
+        # of bounds.unitary_sum_rate (two-sided normal tail 6e-5).
+        cfg = _cfg(M=4, K=4, path=path, precoder=precoder, trials=2000)
+        P = 10.0 ** (snr_db / 10.0)
+        control = self._quantized_columns(cfg, 0.0, P)[:, 2]
+        err = control.std(ddof=1) / math.sqrt(cfg.trials)
+        assert abs(control.mean() - unitary_sum_rate(P, cfg.M)) <= 4.0 * err
 
     def test_rzf_variance_cut_at_zero_bits(self):
         # M=4, B=0, 0 dB: a one-word codebook leaves Z ~ Beta(3, 1), which
@@ -375,22 +451,29 @@ class TestControlVariate:
         cfg = _cfg(M=4, K=4, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF,
                    trials=3000)
         rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 0.0),
-                               lambda *arrays: sim._mu_rates(cfg, 1.0, *arrays))
+                               lambda *arrays: sim._mu_rates(cfg, 1.0, 0.0, *arrays))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 2.0
+
+    def _check_error_sum_mean(self, M, path, B, trials):
+        # Bound fixed before the first run: the mean of the engine's
+        # per-trial S is within 4 of its std_errs of K E[Z] (two-sided
+        # normal tail 6e-5).
+        cfg = _cfg(M=M, K=M, precoder=RZF, path=path, trials=trials)
+        control = self._quantized_columns(cfg, B, 10.0)[:, 1]
+        err = control.std(ddof=1) / math.sqrt(trials)
+        assert abs(control.mean() - cfg.K * expected_error(cfg.M, B)) <= 4.0 * err
 
     @pytest.mark.parametrize("path, B, trials", [(FAST_DECOMPOSITION, 2.5, 4000),
                                                  (BRUTE_FORCE, 3.0, 2000)])
     def test_error_sum_has_the_closed_form_mean(self, path, B, trials):
-        # Bound fixed before the first run: the mean of the engine's
-        # per-trial control is within 4 of its std_errs of K E[Z]
-        # (two-sided normal tail 6e-5).
-        cfg = _cfg(M=4, K=4, precoder=RZF, path=path, trials=trials)
-        values, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, B),
-                                lambda *arrays: sim._rzf_rates_and_control(cfg, 10.0, *arrays))
-        control = values[:, 1]
-        err = control.std(ddof=1) / math.sqrt(trials)
-        assert abs(control.mean() - cfg.K * expected_error(cfg.M, B)) <= 4.0 * err
+        self._check_error_sum_mean(4, path, B, trials)
+
+    def test_error_sum_is_the_drawn_error_at_large_bits(self):
+        # At M = 2, B = 60, E[Z] = 1/(2^60 + 1) ~ 8.7e-19, far below the
+        # rounding of 1 - |h_dir^H h_hat|^2 (a mean of ~1.8e-16 per pair of
+        # users), so S must sum the Z that was drawn.
+        self._check_error_sum_mean(2, FAST_DECOMPOSITION, 60.0, 2000)
 
     def test_random_bf_variance_cut(self):
         # compare88's random_bf point at 10 dB (M = K = 8); bound fixed
@@ -398,7 +481,7 @@ class TestControlVariate:
         cfg = SimConfig(M=8, K=8, snr_grid_db=(10.0,), trials=3000, seed=7)
         values, _ = sim._trials(cfg.trials, cfg.seed,
                                 lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
-                                lambda *arrays: sim._random_bf_rates(cfg, 10.0, *arrays))
+                                lambda *arrays: sim._random_bf_rates(cfg, 10.0, math.nan, *arrays))
         plain_err = values[:, 0].std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / random_bf_throughput(cfg).std_err[0]) ** 2 > 2.0
 
@@ -412,7 +495,7 @@ class TestControlVariate:
         P = 10.0 ** (snr_db / 10.0)
         values, _ = sim._trials(cfg.trials, cfg.seed,
                                 lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
-                                lambda *arrays: sim._random_bf_rates(cfg, P, *arrays))
+                                lambda *arrays: sim._random_bf_rates(cfg, P, math.nan, *arrays))
         control = values[:, 1]
         err = control.std(ddof=1) / math.sqrt(cfg.trials)
         assert abs(control.mean() - random_bf_sum_rate(P, M, K)) <= 4.0 * err
@@ -420,23 +503,27 @@ class TestControlVariate:
     @pytest.mark.parametrize("overrides", [
         dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10)),
         dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF),
+        dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10), precoder=RZF),
+        dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0)),
         dict(snr_grid_db=(10.0,), policy=None)],
-        ids=["zf", "rzf", "random_bf"])
+        ids=["zf", "rzf", "rzf_b10", "zf_b0", "random_bf"])
     def test_std_err_coverage(self, overrides):
-        # Bounds fixed before the first run: the estimate's distance to a
-        # long plain-MC reference, over the hypot of both std_errs, is
-        # about t(298); 60 seeds cover within 3 sigma with p = 0.9971 and
-        # within 1 sigma with p = 0.682, so P(3-sigma hits < 57) = 3e-5
-        # and P(1-sigma hits outside 30..52) = 1.4e-3.
+        # [S, C1'] on ZF and RZF at B = 10, [S, polar] on both at B = 0,
+        # and random beamforming's one control.  Bounds fixed before the
+        # first run: the estimate's distance to a long plain-MC reference,
+        # over the hypot of both std_errs, is about t(299 - k); 60 seeds
+        # cover within 3 sigma with p = 0.9971 and within 1 sigma with
+        # p = 0.682, so P(3-sigma hits < 57) = 3e-5 and P(1-sigma hits
+        # outside 30..52) = 1.4e-3.
         cfg = _cfg(M=4, K=4, trials=300, **overrides)
         (snr_db,) = cfg.snr_grid_db
         P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
         if cfg.policy is None:  # the random-beamforming baseline
             engine, draw = random_bf_throughput, sim._random_bf_draw
-            rates = lambda *arrays: sim._random_bf_rates(cfg, P, *arrays)[:, 0]
+            rates = lambda *arrays: sim._random_bf_rates(cfg, P, B, *arrays)[:, 0]
         else:
             engine, draw = mu_throughput, sim._mu_draw
-            rates = lambda *arrays: sim._mu_rates(cfg, P, *arrays)
+            rates = lambda *arrays: sim._mu_rates(cfg, P, B, *arrays)
         ref_trials = 60_000
         reference, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B), rates)
         want = reference.mean()
@@ -456,14 +543,18 @@ class TestControlVariate:
 # generator and retries while a beamformer build is singular.
 
 def _one_quantized(gen, M, K, B, path):
+    # H, h_hat, each user's ||h||^2 and error Z
     if path == BRUTE_FORCE:
         H = sample_complex_gaussian(M, gen, size=K)
         h_hat = np.empty((K, M), dtype=complex)
+        z = np.empty(K)
         for i in range(K):
-            h_hat[i] = quantize(H[i], generate_codebook(M, B, gen)).h_hat
-        return H, h_hat
-    h_dir, h_hat, _ = sample_quantized_pair(M, B, gen, size=K)
-    return np.sqrt(gen.gamma(M, 1.0, size=K))[:, None] * h_dir, h_hat
+            q = quantize(H[i], generate_codebook(M, B, gen))
+            h_hat[i], z[i] = q.h_hat, q.error_z
+        return H, h_hat, np.array([np.vdot(H[i], H[i]).real for i in range(K)]), z
+    h_dir, h_hat, z = sample_quantized_pair(M, B, gen, size=K)
+    mag2 = gen.gamma(M, 1.0, size=K)
+    return np.sqrt(mag2)[:, None] * h_dir, h_hat, mag2, z
 
 
 def _one_beams(G, precoder, P):
@@ -483,33 +574,31 @@ def _one_mu(gen, cfg, P, B):
         H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
         G = H.conj()
     else:
-        H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+        H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)[:2]
         G = h_hat.conj()
     return _one_sum_rate(H, _one_beams(G, cfg.precoder, P), P)
 
 
-def _one_zf_and_control(gen, cfg, P, B):
-    # quantized ZF's rate and, on the same beams v_i, the control
-    # sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2)
-    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
-    beams = zf_beamformers(h_hat.conj())
-    gain = np.array([np.vdot(h_hat[i], beams[:, i]) for i in range(cfg.K)])
-    mag2 = np.array([np.vdot(H[i], H[i]).real for i in range(cfg.K)])
-    control = np.log2(1.0 + P / cfg.M * mag2 * (gain.real * gain.real + gain.imag * gain.imag))
-    return _one_sum_rate(H, beams, P), float(control.sum())
-
-
-def _one_rzf_and_control(gen, cfg, P, B):
-    # quantized RZF's rate and the users' summed quantization errors
-    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
-    dirs = H / np.linalg.norm(H, axis=-1, keepdims=True)
-    cos = np.array([np.vdot(dirs[i], h_hat[i]) for i in range(cfg.K)])
-    z = np.clip(1.0 - (cos.real * cos.real + cos.imag * cos.imag), 0.0, 1.0)
-    return _one_sum_rate(H, rzf_beamformers(h_hat.conj(), P), P), float(z.sum())
+def _one_quantized_and_controls(gen, cfg, P, B):
+    # quantized CSIT's rate, the users' summed errors S, and where B > 0
+    # the control sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
+    # ZF beams v_i of h_hat, at B = 0 the rate on the polar factor U V^H of
+    # the rate's beams
+    H, h_hat, mag2, z = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+    beams = _one_beams(h_hat.conj(), cfg.precoder, P)
+    if B > 0:
+        zf = zf_beamformers(h_hat.conj())
+        gain = np.array([np.vdot(h_hat[i], zf[:, i]) for i in range(cfg.K)])
+        second = float(np.log2(1.0 + P / cfg.M * mag2 * (gain.real * gain.real
+                                                          + gain.imag * gain.imag)).sum())
+    else:
+        u, _, vh = np.linalg.svd(beams)
+        second = _one_sum_rate(H, u @ vh, P)
+    return _one_sum_rate(H, beams, P), float(z.sum()), second
 
 
 def _one_gap(gen, cfg, P, B):
-    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
+    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)[:2]
     perfect = _one_beams(H.conj(), cfg.precoder, P)
     fb = _one_beams(h_hat.conj(), cfg.precoder, P)
     return (_one_sum_rate(H, perfect, P) - _one_sum_rate(H, fb, P)) / cfg.M
@@ -548,11 +637,12 @@ def _one_random_bf(gen, cfg, P, B):
     return rate, float(np.log2(1.0 + sinr_table.max(axis=0)).sum())
 
 
-# the exact mean of each oracle's control variate
+# the exact means of each oracle's control variates
 _CONTROL_MEANS = {
-    _one_zf_and_control: lambda cfg, P, B: zf_perfect_sum_rate(P, cfg.M),
-    _one_rzf_and_control: lambda cfg, P, B: cfg.K * expected_error(cfg.M, B),
-    _one_random_bf: lambda cfg, P, B: random_bf_sum_rate(P, cfg.M, cfg.K),
+    _one_quantized_and_controls: lambda cfg, P, B: (
+        cfg.K * expected_error(cfg.M, B),
+        zf_perfect_sum_rate(P, cfg.M) if B > 0 else unitary_sum_rate(P, cfg.M)),
+    _one_random_bf: lambda cfg, P, B: (random_bf_sum_rate(P, cfg.M, cfg.K),),
 }
 
 
@@ -569,20 +659,25 @@ def _one_at_a_time(one, cfg, P, B):
     return np.array(rates), discarded
 
 
-_SCALED_BITS = ScalingPolicy.exact_scaled(2.0)  # real-valued B on the fast path
+# Both give B = 0 at 0 dB.  At 15 dB exact scaling gives a real-valued B on
+# the fast path, and alpha scaling 3.99 bits, which the brute path rounds up
+# to 4.
+_SCALED_BITS = ScalingPolicy.exact_scaled(2.0)
+_BRUTE_BITS = ScalingPolicy.alpha_scaled(0.8)
 _ORACLE_CASES = {
     "zf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
                    dict(policy=None)),
     "rzf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
                     dict(policy=None, precoder=RZF)),
-    "zf_fast": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
-                sim._zf_rates_and_control, dict(policy=_SCALED_BITS)),
-    "rzf_fast": (sim.mu_throughput, _one_rzf_and_control, sim._mu_draw,
-                 sim._rzf_rates_and_control, dict(policy=_SCALED_BITS, precoder=RZF)),
-    "zf_brute": (sim.mu_throughput, _one_zf_and_control, sim._mu_draw,
-                 sim._zf_rates_and_control, dict(path=BRUTE_FORCE)),
-    "rzf_brute": (sim.mu_throughput, _one_rzf_and_control, sim._mu_draw,
-                  sim._rzf_rates_and_control, dict(path=BRUTE_FORCE, precoder=RZF)),
+    "zf_fast": (sim.mu_throughput, _one_quantized_and_controls, sim._quantized_draw,
+                sim._quantized_rates, dict(policy=_SCALED_BITS)),
+    "rzf_fast": (sim.mu_throughput, _one_quantized_and_controls, sim._quantized_draw,
+                 sim._quantized_rates, dict(policy=_SCALED_BITS, precoder=RZF)),
+    "zf_brute": (sim.mu_throughput, _one_quantized_and_controls, sim._quantized_draw,
+                 sim._quantized_rates, dict(policy=_BRUTE_BITS, path=BRUTE_FORCE)),
+    "rzf_brute": (sim.mu_throughput, _one_quantized_and_controls, sim._quantized_draw,
+                  sim._quantized_rates, dict(policy=_BRUTE_BITS, path=BRUTE_FORCE,
+                                             precoder=RZF)),
     "rate_gap": (sim.rate_gap, _one_gap, sim._mu_draw, sim._gap_rates,
                  dict(policy=_SCALED_BITS)),
     "miso_fast": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
@@ -610,12 +705,12 @@ class TestStackedEnginesMatchOneTrialAtATime:
             want, want_discarded = _one_at_a_time(one, cfg, P, B)
             got, discarded = sim._trials(cfg.trials, cfg.seed,
                                          lambda gens: draw(gens, cfg, B),
-                                         lambda *arrays: evaluate(cfg, P, *arrays))
+                                         lambda *arrays: evaluate(cfg, P, B, *arrays))
             np.testing.assert_array_equal(got, want)
             assert discarded == want_discarded == curve.resamples[j]
-            if want.ndim == 2:  # rates and their control variate
-                rates, controls = np.ascontiguousarray(want.T)
-                mean, err = sim._regression_estimate(rates, controls,
+            if want.ndim == 2:  # rates and their control variates
+                columns = np.ascontiguousarray(want.T)
+                mean, err = sim._regression_estimate(columns[0], columns[1:],
                                                      _CONTROL_MEANS[one](cfg, P, B))
             else:
                 mean, err = want.mean(), want.std(ddof=1) / math.sqrt(cfg.trials)
@@ -627,19 +722,27 @@ class TestStackedEnginesMatchOneTrialAtATime:
     def test_rates_equal(self, case, monkeypatch):
         self._check(case, monkeypatch, block=16)  # 45 trials: blocks of 16, 16 and 13
 
-    @pytest.mark.parametrize("case", ["zf_perfect", "zf_fast", "zf_brute", "rate_gap"])
+    @pytest.mark.parametrize("case", ["zf_perfect", "zf_fast", "zf_brute", "rzf_fast",
+                                      "rzf_brute", "rate_gap"])
     def test_forced_singular_matrices(self, case, monkeypatch):
         # flag every matrix whose top-left entry is small: a deterministic
         # subset, redrawn from the flagged trial's own stream in both engines
         monkeypatch.setattr(numerics, "_ill_conditioned", lambda a, inv: np.abs(a[..., 0, 0]) < 0.3)
         curve, cfg = self._check(case, monkeypatch, block=16)
         assert curve.resamples.sum() > 0
-        if case in ("zf_fast", "zf_brute"):  # the control adds no inverse, so no redraws
-            B = sim._resolve_bits(cfg, 0.0)
-            _, quantized_only = sim._trials(cfg.trials, cfg.seed,
-                                            lambda gens: sim._mu_draw(gens, cfg, B),
-                                            lambda *arrays: sim._mu_rates(cfg, 1.0, *arrays))
-            assert curve.resamples[0] == quantized_only
+        if case in ("zf_fast", "zf_brute"):  # the controls add no inverse, so no redraws
+            for j, snr_db in enumerate(cfg.snr_grid_db):
+                B = sim._resolve_bits(cfg, snr_db)
+                _, quantized_only = sim._trials(
+                    cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, B),
+                    lambda *arrays: sim._mu_rates(cfg, 1.0, B, *arrays))
+                assert curve.resamples[j] == quantized_only
+        if case in ("rzf_fast", "rzf_brute"):
+            # RZF inverts nothing at B = 0; at B > 0 C1''s ZF build of h_hat
+            # redraws exactly the trials that quantized ZF redraws
+            zf = sim.mu_throughput(dataclasses.replace(cfg, precoder=ZF))
+            assert curve.b_bits[0] == 0 and curve.b_bits[1] > 0
+            assert curve.resamples[0] == 0 and curve.resamples[1] == zf.resamples[1] > 0
 
 
 class TestWorkerCount:
@@ -692,9 +795,11 @@ class TestWorkerCountInvariance:
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         return run()
 
-    # only ZF inverts, so only ZF meets the forced-singular flags
+    # ZF, and RZF's C1' at B > 0, invert h_hat, so they meet the
+    # forced-singular flags; miso inverts nothing
     @pytest.mark.parametrize("case, singular", [
-        ("zf_brute", False), ("rzf_brute", False), ("miso_brute", False), ("zf_brute", True)])
+        ("zf_brute", False), ("rzf_brute", False), ("miso_brute", False), ("zf_brute", True),
+        ("rzf_brute", True)])
     @pytest.mark.parametrize("cpus", [2, 3, 7])
     def test_curves_equal_serial(self, case, cpus, singular, monkeypatch, workers_used):
         if singular:  # as in TestStackedEnginesMatchOneTrialAtATime
