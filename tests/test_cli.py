@@ -16,6 +16,7 @@ from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, mai
                         parse_bit_range, parse_snr_grid)
 from fbmimo.errors import ConfigError, DomainError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
+from fbmimo.shares import run_in_shares
 from fbmimo.simulate import FAST_DECOMPOSITION, SimConfig, mu_throughput
 
 
@@ -424,6 +425,156 @@ def test_preset_curves_and_rerun(fid, tmp_path):
     assert header == CSV_COLUMNS
     assert [r[1] for r in rows] == [label for label in PRESET_LABELS[fid] for _ in range(2)]
     assert all(r[0] == fid for r in rows)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: its args hold one message, not a and b."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestFigureShares:
+    """A figure's curves run in one process per share (fbmimo.shares)."""
+
+    @staticmethod
+    def _outputs(monkeypatch, tmp_path, argv, counts=(1, 2, 3)):
+        outputs = []
+        for count in counts:
+            monkeypatch.setattr(simulate, "_cpus", lambda: count)
+            out = tmp_path / f"{count}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert _no_child_left()
+        return outputs
+
+    @pytest.mark.parametrize("fid", FIGURE_IDS)
+    def test_share_count_does_not_change_the_csv(self, fid, monkeypatch, tmp_path):
+        serial, *shared = self._outputs(monkeypatch, tmp_path, ["figure", fid, "--trials", "40"])
+        assert all(output == serial for output in shared)
+
+    def test_brute_threads_inside_the_shares(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
+        serial, *shared = self._outputs(monkeypatch, tmp_path, [
+            "figure", "compare44", "--path", "brute", "--snr", "0:5:10", "--trials", "20"])
+        assert all(output == serial for output in shared)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_stdout_written_once(self, count):
+        # text still buffered in the parent at the fork reaches stdout once
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fbmimo import cli, simulate; "
+             f"simulate._cpus = lambda: {count}; sys.stdout.write('before\\n'); "
+             "sys.exit(cli.main(['figure', 'compare44', '--trials', '8', '--out', '-']))"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        csv_only = subprocess.run(
+            [sys.executable, "-m", "fbmimo.cli", "figure", "compare44", "--trials", "8",
+             "--out", "-"], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.stdout == "before\n" + csv_only.stdout and proc.stderr == ""
+
+    @pytest.mark.parametrize("fid, count, forks", [("miso4x1", 2, 0), ("compare88", 1, 0),
+                                                   ("scaled5x5", 1, 0), ("compare88", 2, 1),
+                                                   ("compare88", 3, 2)])
+    def test_forks_only_for_two_simulated_curves_and_cpus(self, fid, count, forks, monkeypatch):
+        fork, calls = os.fork, []
+
+        def spy():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: count)
+        monkeypatch.setattr(os, "fork", spy)
+        assert main(["figure", fid, "--trials", "2", "--snr", "0:10:10", "--out", "-"]) == 0
+        assert len(calls) == forks and _no_child_left()
+
+    def test_singular_curve_in_a_forked_share_is_exit_4(self, monkeypatch, capsys):
+        # zf_beamformers is singular everywhere serially, and only off the
+        # calling process with two shares; the stderr line is the same
+        argv = ["figure", "fixed5x5", "--snr", "0:5:0", "--trials", "1", "--out", "-"]
+        parent = os.getpid()
+
+        def singular(*args, **kwargs):
+            if os.getpid() != parent or simulate._cpus() == 1:
+                raise SingularMatrixError("forced")
+            return zf_beamformers(*args, **kwargs)
+
+        zf_beamformers = simulate.zf_beamformers
+        monkeypatch.setattr(simulate, "zf_beamformers", singular)
+        lines = []
+        for count in (1, 2):
+            monkeypatch.setattr(simulate, "_cpus", lambda: count)
+            assert main(argv) == 4
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] == ("simulation error: exceeded 1000 singular-channel "
+                                        "resamples in one trial\n")
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("fid, failing", [
+        ("compare88", ("tdma", "random_bf")), ("compare88", ("rzf_quantized_B20", "tdma")),
+        ("fixed5x5", ("zf_perfect", "zf_quantized_B15"))])
+    def test_lowest_failing_curve_is_reported(self, fid, failing, count, monkeypatch, capsys):
+        # the first of `failing` in preset order, as a serial run reports
+        def failing_engine(name):
+            engine = getattr(simulate, name)
+
+            def run(cfg, label=None):
+                curve = engine(cfg, label=label) if label else engine(cfg)
+                if curve.label in failing:
+                    raise ConfigError(curve.label)
+                return curve
+            return run
+
+        for name in ("mu_throughput", "tdma_throughput", "random_bf_throughput"):
+            monkeypatch.setattr(simulate, name, failing_engine(name))
+        monkeypatch.setattr(simulate, "_cpus", lambda: count)
+        assert main(["figure", fid, "--trials", "2", "--snr", "0:10:10", "--out", "-"]) == 2
+        assert capsys.readouterr().err == f"config error: {failing[0]}\n"
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("shares", [[[0, 2], [1, 3]], [[1, 3], [0, 2]], [[3], [2], [1, 0]]])
+    def test_helper_raises_the_lowest_index(self, shares):
+        def work(i):
+            if i in (1, 2):
+                raise DomainError(f"job {i}")
+            return i * 10
+
+        with pytest.raises(DomainError, match="job 1"):
+            run_in_shares(work, shares)
+        assert run_in_shares(lambda i: i * 10, shares) == [0, 10, 20, 30]
+        assert _no_child_left()
+
+    def test_unpicklable_exception_is_named(self):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def work(i):
+            if i == 1:
+                raise LocalError("boom")
+            if i == 2:
+                raise _TwoArgError("left", "right")
+            return i
+
+        with pytest.raises(RuntimeError, match="LocalError: boom"):
+            run_in_shares(work, [[0], [1]])
+        with pytest.raises(RuntimeError, match="_TwoArgError: left and right"):
+            run_in_shares(work, [[0], [2]])
+        assert _no_child_left()
+
+    def test_child_that_dies_is_an_error(self):
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_in_shares(lambda i: os._exit(3) if i == 1 else i, [[0], [1]])
+        assert _no_child_left()
 
 
 class TestValidateCommand:
