@@ -78,6 +78,9 @@ def parse_snr_grid(text: str) -> tuple:
         raise ConfigError(f"snr has more than {_MAX_SNR_POINTS} points, got {text!r}")
     # lo + i*step rounded, so 0:0.1:1 gives 0.3 rather than 0.30000000000000004
     grid = tuple(round(lo + i * step, 12) for i in range(math.ceil(count)))
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"snr points must stay distinct when rounded to 12 decimals, "
+                          f"got {text!r}")
     if grid[-1] > sim.MAX_SNR_DB:
         raise ConfigError(f"snr points must be at most {sim.MAX_SNR_DB} dB, got {text!r}")
     return grid
@@ -363,9 +366,8 @@ def _run_validate(spec: ExperimentSpec) -> int:
     points = 0
     for M in (3, 4, 5, 6):
         for B in (4, 8, 12):
-            cfg = sim.SimConfig(M=M, K=M, snr_grid_db=grid, policy=ScalingPolicy.fixed(B),
-                                path=sim.FAST_DECOMPOSITION, trials=spec.trials, seed=spec.seed)
-            gap = sim.rate_gap(cfg)
+            gap = sim.rate_gap(_curve_config(spec, _Curve("mu", policy=ScalingPolicy.fixed(B)),
+                                             M, grid))
             for snr, dr, se in zip(gap.snr_db, gap.mean_bps_hz, gap.std_err):
                 bound = bd.rate_gap_bound(10.0 ** (snr / 10.0), M, B)
                 points += 1
@@ -383,9 +385,8 @@ def _run_validate(spec: ExperimentSpec) -> int:
                    f"throughput {curve.mean_bps_hz[0]:.2f} <= ceiling {exact:.2f}")
 
     # scaled feedback keeps the per-user gap under log2(b_gap)
-    cfg = sim.SimConfig(M=5, K=5, snr_grid_db=grid, policy=ScalingPolicy.exact_scaled(2.0),
-                        path=sim.FAST_DECOMPOSITION, trials=spec.trials, seed=spec.seed)
-    gap = sim.rate_gap(cfg)
+    gap = sim.rate_gap(_curve_config(spec, _Curve("mu", policy=ScalingPolicy.exact_scaled(2.0)),
+                                     5, grid))
     ok &= _verdict("scaled_bits_gap", np.all(gap.mean_bps_hz < 1.0),
                    f"max per-user gap {gap.mean_bps_hz.max():.3f} < 1.0")
 

@@ -178,34 +178,18 @@ def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _draw_quantized(gens: list, M: int, K: int, B: float, path: str) -> tuple:
-    """Channel rows H and quantized unit directions h_hat, (trials, K, M), and
-    each user's ||h||^2 and error Z = sin^2(angle(h, h_hat)), (trials, K)."""
-    if path == BRUTE_FORCE:
-        H = sample_complex_gaussian(M, gens, size=K)
-        h_hat = np.empty_like(H)
-        z = np.empty(H.shape[:-1])
-
-        def search(t: int) -> None:
-            for i in range(K):
-                q = quantize(H[t, i], generate_codebook(M, B, gens[t]))
-                h_hat[t, i], z[t, i] = q.h_hat, q.error_z
-
-        _each_trial(len(gens), search, _workers(M, B, len(gens), _cpus()))
-        return H, h_hat, _vdot_rows(H, H).real, z
-    h_dir, h_hat, z = sample_quantized_pair(M, B, gens, size=K)
-    mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
-    return np.sqrt(mag2)[..., None] * h_dir, h_hat, mag2, z
+def _sinr_table(H: np.ndarray, beams: np.ndarray, P: float) -> np.ndarray:
+    """SINR of each user on each beam, (..., K, beams), for channel stacks
+    (..., K, M) and beams (..., M, beams) that share P equally."""
+    gains = np.abs(H.conj() @ beams) ** 2
+    per_stream = P / beams.shape[-1]
+    return per_stream * gains / (1.0 + per_stream * (gains.sum(axis=-1, keepdims=True) - gains))
 
 
 def _sum_rate(H: np.ndarray, vectors: np.ndarray, P: float) -> np.ndarray:
     """Per-trial sum rates for channel stacks (..., K, M) and beams (..., M, K)."""
-    gains = np.abs(H.conj() @ vectors) ** 2
-    per_stream = P / vectors.shape[-1]
-    diagonal = np.diagonal(gains, axis1=-2, axis2=-1)
-    signal = per_stream * diagonal
-    interference = per_stream * (gains.sum(axis=-1) - diagonal)
-    return np.log2(1.0 + signal / (1.0 + interference)).sum(axis=-1)
+    sinr = np.diagonal(_sinr_table(H, vectors, P), axis1=-2, axis2=-1)
+    return np.log2(1.0 + sinr).sum(axis=-1)
 
 
 def _nearest_unitary(beams: np.ndarray) -> np.ndarray:
@@ -257,25 +241,46 @@ def _trials(n_trials: int, seed: int, draw, evaluate) -> tuple[np.ndarray, int]:
 
 
 # Each engine is a draw(gens, cfg, B) -> arrays with one row per trial and
-# an evaluate(cfg, P, B, *arrays) -> one value per trial.
+# an evaluate(cfg, P, B, *arrays) -> one value per trial, or (trials, 1 + k)
+# rows of the rate and its k control variates.  There are three draws:
+# perfect CSIT (H), quantized CSIT (H, h_hat, ||h||^2, Z) and random
+# beamforming (H and a Haar beam matrix).
 
-def _mu_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
-    """H and the directions the transmitter knows: H itself under perfect CSIT."""
-    if cfg.policy is None:
-        H = sample_complex_gaussian(cfg.M, gens, size=cfg.K)
-        return H, H
-    return _draw_quantized(gens, cfg.M, cfg.K, B, cfg.path)[:2]
+def _perfect_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
+    """Channel rows H, (trials, K, M): the transmitter knows H itself."""
+    return (sample_complex_gaussian(cfg.M, gens, size=cfg.K),)
 
 
 def _quantized_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
-    """H, the quantized directions h_hat, and each user's ||h||^2 and error Z."""
-    return _draw_quantized(gens, cfg.M, cfg.K, B, cfg.path)
+    """Channel rows H and quantized unit directions h_hat, (trials, K, M), and
+    each user's ||h||^2 and error Z = sin^2(angle(h, h_hat)), (trials, K)."""
+    M, K = cfg.M, cfg.K
+    if cfg.path == BRUTE_FORCE:
+        H = sample_complex_gaussian(M, gens, size=K)
+        h_hat = np.empty_like(H)
+        z = np.empty(H.shape[:-1])
+
+        def search(t: int) -> None:
+            for i in range(K):
+                q = quantize(H[t, i], generate_codebook(M, B, gens[t]))
+                h_hat[t, i], z[t, i] = q.h_hat, q.error_z
+
+        _each_trial(len(gens), search, _workers(M, B, len(gens), _cpus()))
+        return H, h_hat, _vdot_rows(H, H).real, z
+    h_dir, h_hat, z = sample_quantized_pair(M, B, gens, size=K)
+    mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
+    return np.sqrt(mag2)[..., None] * h_dir, h_hat, mag2, z
 
 
-def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
-              directions: np.ndarray) -> np.ndarray:
+def _beams(cfg: SimConfig, P: float, directions: np.ndarray) -> np.ndarray:
+    """The configured precoder's beams for users along `directions`."""
     G = directions.conj()
-    return _sum_rate(H, zf_beamformers(G) if cfg.precoder == ZF else rzf_beamformers(G, P), P)
+    return zf_beamformers(G) if cfg.precoder == ZF else rzf_beamformers(G, P)
+
+
+def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> np.ndarray:
+    """Perfect-CSIT sum rates."""
+    return _sum_rate(H, _beams(cfg, P, H), P)
 
 
 def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
@@ -295,24 +300,19 @@ def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: n
     return np.stack([_sum_rate(H, beams, P), z.sum(axis=-1), second], axis=-1)
 
 
-def _gap_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
-               h_hat: np.ndarray) -> np.ndarray:
+def _gap_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
+               mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
-    return (_mu_rates(cfg, P, B, H, H) - _mu_rates(cfg, P, B, H, h_hat)) / cfg.M
+    return (_mu_rates(cfg, P, B, H) - _sum_rate(H, _beams(cfg, P, h_hat), P)) / cfg.M
 
 
-def _miso_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
-    """Channel power ||h||^2 and quantization error Z: one user's quantized draw."""
-    _, _, mag2, z = _draw_quantized(gens, cfg.M, 1, B, cfg.path)
-    return mag2[:, 0], z[:, 0]
+def _miso_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
+                mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The one user's rate on a beam along its quantized direction."""
+    return _log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0]))
 
 
-def _miso_rates(cfg: SimConfig, P: float, B: float, mag2: np.ndarray,
-                z: np.ndarray) -> np.ndarray:
-    return _log2(1.0 + P * mag2 * (1.0 - z))
-
-
-def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, _: np.ndarray) -> np.ndarray:
+def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> np.ndarray:
     best = np.max(np.sum(np.abs(H) ** 2, axis=-1), axis=-1)
     return _log2(1.0 + P * best)
 
@@ -326,11 +326,7 @@ def _random_bf_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
     """Random-beamforming sum rates and, as their control variate, the sum
     over beams of log2(1 + the beam's best SINR) on the same draw, where a
     user may be best on several beams: shape (trials, 2)."""
-    gains = np.abs(H.conj() @ beams) ** 2
-    per_stream = P / cfg.M
-    sig = per_stream * gains
-    denom = 1.0 + per_stream * (gains.sum(axis=-1, keepdims=True) - gains)
-    sinr_table = sig / denom
+    sinr_table = _sinr_table(H, beams, P)
     best_beam = np.argmax(sinr_table, axis=-1)
     best_val = np.take_along_axis(sinr_table, best_beam[..., None], axis=-1)
     # each beam's highest claim; an unclaimed beam adds log2(1 + 0) = 0,
@@ -338,12 +334,6 @@ def _random_bf_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
     claims = np.where(best_beam[..., None] == np.arange(cfg.M), best_val, 0.0).max(axis=-2)
     rates = np.add.accumulate(_log2(1.0 + claims), axis=-1)[..., -1]
     return np.stack([rates, np.log2(1.0 + sinr_table.max(axis=-2)).sum(axis=-1)], axis=-1)
-
-
-def _plain_estimate(rates: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error."""
-    n = len(rates)
-    return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
@@ -368,7 +358,7 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
     varies = scale > 0.0
     k = int(varies.sum())
     if k == 0 or n < k + 2:
-        return _plain_estimate(rates)
+        return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     rate_bar = float(rates.mean())
     dy = rates - rate_bar
     # unit-norm columns keep the normal equations well scaled when one
@@ -382,7 +372,7 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
 
 
 def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None,
-           precoder: str | None = None, control=None) -> ThroughputCurve:
+           precoder: str | None = None, control=lambda P, B: ()) -> ThroughputCurve:
     """Sweep the SNR grid and average the engine's per-trial rates.
 
     Every point's bits are resolved before the first draw, so a grid with
@@ -390,11 +380,11 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     trial retries its draw while the beamformer build is singular and the
     discarded draws are counted per point.  A point whose mean or std_err
     is not finite raises ConfigError, in place of numpy's overflow,
-    invalid-value and divide-by-zero warnings.  With control(P, B), the
-    exact means of k control variates at power P and resolved bits B,
-    evaluate returns (trials, 1 + k) rows of rate and controls, and each
-    point reports the regression estimate on the controls whose mean is
-    not None.
+    invalid-value and divide-by-zero warnings.  control(P, B) gives the
+    exact means of k control variates at power P and resolved bits B;
+    evaluate returns (trials, 1 + k) rows of rate and controls, or one rate
+    per trial where k = 0, and each point reports the regression estimate
+    on the controls whose mean is not None: with none, the plain mean.
     """
     bits = grid_bits(cfg)
     means, errs, resamples = [], [], []
@@ -403,11 +393,9 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
                                         lambda *arrays: evaluate(cfg, P, B, *arrays))
-            if control is None:
-                mean, err = _plain_estimate(values)
-            else:  # each column contiguous, so its sums run in the plain estimate's order
-                columns = np.ascontiguousarray(values.T)
-                mean, err = _regression_estimate(columns[0], columns[1:], control(P, B))
+            # each column contiguous, so its sums run in one order for every k
+            columns = np.ascontiguousarray(values.reshape(cfg.trials, -1).T)
+            mean, err = _regression_estimate(columns[0], columns[1:], control(P, B))
         if not (math.isfinite(mean) and math.isfinite(err)):
             raise ConfigError(f"{label} is not finite at SNR {snr_db} dB: "
                               "a rate or beam is not finite")
@@ -458,7 +446,7 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     """
     _require_square(cfg)
     if cfg.policy is None:
-        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _mu_draw, _mu_rates)
+        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _perfect_draw, _mu_rates)
     return _curve(cfg, label or f"{cfg.precoder.lower()}_quantized", _quantized_draw,
                   _quantized_rates,
                   control=lambda P, B: (cfg.K * expected_error(cfg.M, B),
@@ -476,7 +464,7 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
     _require_square(cfg)
     if cfg.policy is None:
         raise ConfigError("rate_gap compares quantized with perfect CSIT; give a feedback policy")
-    return _curve(cfg, label, _mu_draw, _gap_rates)
+    return _curve(cfg, label, _quantized_draw, _gap_rates)
 
 
 def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -> ThroughputCurve:
@@ -486,13 +474,13 @@ def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -
         raise ConfigError(f"miso engine requires K == 1, got K={cfg.K}")
     if cfg.policy is None:
         raise ConfigError("miso engine models quantized feedback; give a feedback policy")
-    return _curve(cfg, label, _miso_draw, _miso_rates, precoder="BF")
+    return _curve(cfg, label, _quantized_draw, _miso_rates, precoder="BF")
 
 
 def tdma_throughput(cfg: SimConfig, label: str = "tdma") -> ThroughputCurve:
     """Serve only the instantaneously strongest of K users with full-power
     perfect-CSIT beamforming: log2(1 + P max_i ||h_i||^2)."""
-    return _curve(replace(cfg, policy=None), label, _mu_draw, _tdma_rates, policy="tdma",
+    return _curve(replace(cfg, policy=None), label, _perfect_draw, _tdma_rates, policy="tdma",
                   precoder="BF")
 
 
@@ -522,22 +510,19 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
 
     Runs the full K=M pipeline and records, per trial, the direction
     signal gain |h_dir_0^H v_0|^2, one cross gain |h_dir_1^H v_0|^2, and
-    user 1's quantization error, plus the singular-resample count.
+    user 1's quantization error Z as drawn, plus the singular-resample count.
     """
     B = _codebook_bits(B) if path == BRUTE_FORCE else float(B)
+    cfg = SimConfig(M=M, K=M, snr_grid_db=(0.0,), path=path)  # a draw reads M, K and path
 
-    def statistics(H, h_hat):
-        beams = zf_beamformers(h_hat.conj())
+    def statistics(H, h_hat, mag2, z):
+        v0 = zf_beamformers(h_hat.conj())[..., 0]
         dirs = H / np.linalg.norm(H, axis=-1, keepdims=True)
-        out = np.empty((len(H), 3))
-        for t in range(len(H)):  # np.vdot's sums, which an einsum would reorder
-            out[t] = (abs(np.vdot(dirs[t, 0], beams[t, :, 0])) ** 2,
-                      abs(np.vdot(dirs[t, 1], beams[t, :, 0])) ** 2,
-                      min(max(1.0 - abs(np.vdot(dirs[t, 1], h_hat[t, 1])) ** 2, 0.0), 1.0))
-        return out
+        return np.stack([np.abs(_vdot_rows(dirs[:, 0], v0)) ** 2,
+                         np.abs(_vdot_rows(dirs[:, 1], v0)) ** 2, z[:, 1]], axis=-1)
 
-    vals, resamples = _trials(n_trials, seed,
-                              lambda gens: _draw_quantized(gens, M, M, B, path)[:2], statistics)
+    vals, resamples = _trials(n_trials, seed, lambda gens: _quantized_draw(gens, cfg, B),
+                              statistics)
     return {
         "signal": vals[:, 0],
         "interference": vals[:, 1],

@@ -56,6 +56,18 @@ class TestParseSnrGrid:
         assert len(parse_snr_grid("0:3:10")) == 4
         assert len(parse_snr_grid("-10:2.5:5")) == 7
 
+    @pytest.mark.parametrize("text", ["0:1e-13:1e-12", "-5e-13:1e-13:5e-13",
+                                      "1000:1e-14:1000.0000000001"])
+    def test_step_lost_to_rounding_is_rejected(self, text, capsys):
+        # the grid is promised strictly increasing; a step the 12-decimal
+        # rounding (or the float sum) collapses would repeat points
+        with pytest.raises(ConfigError, match="distinct") as err:
+            parse_snr_grid(text)
+        assert repr(text) in str(err.value)
+        assert main(["sweep", "--csit", "perfect", "--snr", text, "--trials", "2"]) == 2
+        assert repr(text) in capsys.readouterr().err
+        assert parse_snr_grid("0:1e-12:2e-12") == (0.0, 1e-12, 2e-12)
+
 
 class TestParseBitRange:
     def test_scalar_and_range(self):

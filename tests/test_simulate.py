@@ -30,6 +30,11 @@ def _cfg(**kw):
     return SimConfig(**base)
 
 
+def _quantized_rate(cfg, P):
+    # an evaluate for the quantized-CSIT rate alone, without its controls
+    return lambda H, h_hat, mag2, z: sim._sum_rate(H, sim._beams(cfg, P, h_hat), P)
+
+
 def _scalar_rate_oracle(p_eff: float, m: int) -> float:
     # E[log2(1 + p_eff * X)], X ~ Gamma(m, 1), by adaptive quadrature
     val, _ = integrate.quad(
@@ -109,6 +114,18 @@ class TestPrefixProperty:
         assert (short["resamples"] > 0) == singular
         for key in ("signal", "interference", "error_z"):
             np.testing.assert_array_equal(short[key], long[key][:300])
+
+
+class TestZfStatistics:
+    @pytest.mark.parametrize("path, M, B", [(FAST_DECOMPOSITION, 4, 10.0), (BRUTE_FORCE, 3, 4)])
+    def test_error_z_is_the_drawn_error(self, path, M, B):
+        # user 1's Z as the engines' quantized draw gives it, not recomputed
+        # from the directions
+        out = sim.collect_zf_statistics(M, B, 60, seed=5, path=path)
+        cfg = SimConfig(M=M, K=M, snr_grid_db=(0.0,), path=path)
+        z = sim._quantized_draw(trial_streams(5, 0, 60), cfg, B)[3]
+        assert out["resamples"] == 0
+        np.testing.assert_array_equal(out["error_z"], z[:, 1])
 
 
 class TestRealDrawsAreNotFlagged:
@@ -347,6 +364,7 @@ class TestControlVariate:
             1.5, rates[:2].std(ddof=1) / math.sqrt(2))
         assert sim._regression_estimate(rates[:1], rates[None, :1], (9.0,)) == (1.0, 0.0)
         assert sim._regression_estimate(rates, rates[None], (None,)) == plain
+        assert sim._regression_estimate(rates, np.empty((0, 3)), ()) == plain  # no control
 
     def test_plain_estimate_below_k_plus_two_trials(self):
         # two varying controls need 4 trials, and constant ones do not count
@@ -374,8 +392,9 @@ class TestControlVariate:
     def test_variance_cut_at_ten_db(self):
         # M=4, B=10, 10 dB: the control explains most of the variance
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=3000)
-        rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 10.0),
-                               lambda *arrays: sim._mu_rates(cfg, 10.0, 10.0, *arrays))
+        rates, _ = sim._trials(cfg.trials, cfg.seed,
+                               lambda gens: sim._quantized_draw(gens, cfg, 10.0),
+                               _quantized_rate(cfg, 10.0))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 1.5
 
@@ -383,8 +402,9 @@ class TestControlVariate:
         # brute_codebook's point (M=4, B=10, 10 dB); bound fixed before the
         # first run: more than 5x (7.55x measured with seed 5)
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), path=BRUTE_FORCE, trials=3000)
-        rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 10.0),
-                               lambda *arrays: sim._mu_rates(cfg, 10.0, 10.0, *arrays))
+        rates, _ = sim._trials(cfg.trials, cfg.seed,
+                               lambda gens: sim._quantized_draw(gens, cfg, 10.0),
+                               _quantized_rate(cfg, 10.0))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 5.0
 
@@ -426,7 +446,7 @@ class TestControlVariate:
 
         def both(H, h_hat, mag2, z):
             return np.stack([sim._quantized_rates(cfg, 10.0, B, H, h_hat, mag2, z)[:, 2],
-                             sim._mu_rates(cfg, 10.0, B, H, H)], axis=-1)
+                             sim._mu_rates(cfg, 10.0, B, H)], axis=-1)
 
         values, _ = sim._trials(cfg.trials, cfg.seed,
                                 lambda gens: sim._quantized_draw(gens, cfg, B), both)
@@ -450,8 +470,9 @@ class TestControlVariate:
         # drives most of the rate's variance
         cfg = _cfg(M=4, K=4, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF,
                    trials=3000)
-        rates, _ = sim._trials(cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, 0.0),
-                               lambda *arrays: sim._mu_rates(cfg, 1.0, 0.0, *arrays))
+        rates, _ = sim._trials(cfg.trials, cfg.seed,
+                               lambda gens: sim._quantized_draw(gens, cfg, 0.0),
+                               _quantized_rate(cfg, 1.0))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 2.0
 
@@ -522,8 +543,8 @@ class TestControlVariate:
             engine, draw = random_bf_throughput, sim._random_bf_draw
             rates = lambda *arrays: sim._random_bf_rates(cfg, P, B, *arrays)[:, 0]
         else:
-            engine, draw = mu_throughput, sim._mu_draw
-            rates = lambda *arrays: sim._mu_rates(cfg, P, B, *arrays)
+            engine, draw = mu_throughput, sim._quantized_draw
+            rates = _quantized_rate(cfg, P)
         ref_trials = 60_000
         reference, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B), rates)
         want = reference.mean()
@@ -665,9 +686,9 @@ def _one_at_a_time(one, cfg, P, B):
 _SCALED_BITS = ScalingPolicy.exact_scaled(2.0)
 _BRUTE_BITS = ScalingPolicy.alpha_scaled(0.8)
 _ORACLE_CASES = {
-    "zf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+    "zf_perfect": (sim.mu_throughput, _one_mu, sim._perfect_draw, sim._mu_rates,
                    dict(policy=None)),
-    "rzf_perfect": (sim.mu_throughput, _one_mu, sim._mu_draw, sim._mu_rates,
+    "rzf_perfect": (sim.mu_throughput, _one_mu, sim._perfect_draw, sim._mu_rates,
                     dict(policy=None, precoder=RZF)),
     "zf_fast": (sim.mu_throughput, _one_quantized_and_controls, sim._quantized_draw,
                 sim._quantized_rates, dict(policy=_SCALED_BITS)),
@@ -678,13 +699,14 @@ _ORACLE_CASES = {
     "rzf_brute": (sim.mu_throughput, _one_quantized_and_controls, sim._quantized_draw,
                   sim._quantized_rates, dict(policy=_BRUTE_BITS, path=BRUTE_FORCE,
                                              precoder=RZF)),
-    "rate_gap": (sim.rate_gap, _one_gap, sim._mu_draw, sim._gap_rates,
+    "rate_gap": (sim.rate_gap, _one_gap, sim._quantized_draw, sim._gap_rates,
                  dict(policy=_SCALED_BITS)),
-    "miso_fast": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
-                  dict(K=1, policy=_SCALED_BITS)),
-    "miso_brute": (sim.miso_feedback_throughput, _one_miso, sim._miso_draw, sim._miso_rates,
+    "miso_fast": (sim.miso_feedback_throughput, _one_miso, sim._quantized_draw,
+                  sim._miso_rates, dict(K=1, policy=_SCALED_BITS)),
+    "miso_brute": (sim.miso_feedback_throughput, _one_miso, sim._quantized_draw,
+                   sim._miso_rates,
                    dict(K=1, path=BRUTE_FORCE)),
-    "tdma": (sim.tdma_throughput, _one_tdma, sim._mu_draw, sim._tdma_rates,
+    "tdma": (sim.tdma_throughput, _one_tdma, sim._perfect_draw, sim._tdma_rates,
              dict(K=5, policy=None)),
     # eight beams: numpy sums eight or more terms pairwise, not in order
     "random_bf": (sim.random_bf_throughput, _one_random_bf, sim._random_bf_draw,
@@ -734,8 +756,8 @@ class TestStackedEnginesMatchOneTrialAtATime:
             for j, snr_db in enumerate(cfg.snr_grid_db):
                 B = sim._resolve_bits(cfg, snr_db)
                 _, quantized_only = sim._trials(
-                    cfg.trials, cfg.seed, lambda gens: sim._mu_draw(gens, cfg, B),
-                    lambda *arrays: sim._mu_rates(cfg, 1.0, B, *arrays))
+                    cfg.trials, cfg.seed, lambda gens: sim._quantized_draw(gens, cfg, B),
+                    _quantized_rate(cfg, 1.0))
                 assert curve.resamples[j] == quantized_only
         if case in ("rzf_fast", "rzf_brute"):
             # RZF inverts nothing at B = 0; at B > 0 C1''s ZF build of h_hat
