@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -56,9 +55,10 @@ class ExperimentSpec:
     out: str | None = None
 
 
-# Each point is a Monte Carlo run of every curve, so no run needs this many;
-# the cap stops a mistyped step (0:1e-9:1) from building 10^9 points.
-_MAX_SNR_POINTS = 100_000
+# An SNR point is a Monte Carlo run of every curve and a bit count a table
+# row, so no run needs this many; the cap stops a mistyped grid (0:1e-9:1)
+# or bit range (0..1000000000) from building 10^9 values.
+_MAX_POINTS = 100_000
 
 
 def parse_snr_grid(text: str) -> tuple:
@@ -74,8 +74,8 @@ def parse_snr_grid(text: str) -> tuple:
         raise ConfigError(f"snr needs step > 0 and hi >= lo, all finite, got {text!r}")
     # the points lo + i*step below hi + step/2, before rounding up
     count = (hi + step / 2.0 - lo) / step
-    if not count <= _MAX_SNR_POINTS:
-        raise ConfigError(f"snr has more than {_MAX_SNR_POINTS} points, got {text!r}")
+    if not count <= _MAX_POINTS:
+        raise ConfigError(f"snr has more than {_MAX_POINTS} points, got {text!r}")
     # lo + i*step rounded, so 0:0.1:1 gives 0.3 rather than 0.30000000000000004
     grid = tuple(round(lo + i * step, 12) for i in range(math.ceil(count)))
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -99,6 +99,8 @@ def parse_bit_range(value) -> list[int]:
             raise ConfigError(f"B range must look like lo..hi, got {text!r}") from None
         if hi < lo:
             raise ConfigError(f"B range must be increasing, got {text!r}")
+        if hi - lo >= _MAX_POINTS:
+            raise ConfigError(f"B range has more than {_MAX_POINTS} values, got {text!r}")
         return list(range(lo, hi + 1))
     try:
         return [int(text)]
@@ -283,7 +285,7 @@ def _run_figure(spec: ExperimentSpec) -> int:
     shares over the CPUs (_shares), one process each, when it has at least
     two simulated curves; each curve still draws only from its own trial
     streams, so the CSV does not depend on the split."""
-    from .shares import run_in_shares  # here, so that sweep, table and validate never load it
+    from .shares import run_in_shares  # here, so that importing fbmimo.cli never loads it
     M, default_grid, entries = _PRESETS[spec.figure_id]
     grid = parse_snr_grid(spec.snr or default_grid)
     for entry in entries:  # a curve the path cannot take fails before any is drawn
@@ -295,7 +297,7 @@ def _run_figure(spec: ExperimentSpec) -> int:
         return entry(spec, M, grid) if callable(entry) else [_run_curve(spec, entry, M, grid)]
 
     simulated = sum(isinstance(entry, _Curve) for entry in entries)
-    count = sim._cpus() if hasattr(os, "fork") and simulated > 1 else 1
+    count = sim._cpus() if simulated > 1 else 1
     curves = [c for part in run_in_shares(curves_of, _shares(entries, count)) for c in part]
     _write_csv(spec.out, spec.figure_id, CSV_COLUMNS, curves_to_rows(spec.figure_id, curves))
     return 0

@@ -25,7 +25,7 @@ from .numerics import (LOG2E, draw_rows, redraw_streams, sample_complex_gaussian
                        sample_isotropic_unit)
 
 # A codebook's draw and search hold about 40 bytes per entry (see
-# simulate._THREAD_BUDGET_ENTRIES), so M * 2^B entries up to 2^24 take
+# simulate._SHARE_BUDGET_ENTRIES), so M * 2^B entries up to 2^24 take
 # about 640 MiB.
 MAX_CODEBOOK_ENTRIES = 1 << 24
 

@@ -1,10 +1,12 @@
 """Indexed jobs run in shares, one process per share.
 
-A child gets its jobs by os.fork, which copies them as they are, so a job
-may be any callable; only results and exceptions are pickled, back to the
-process that forked.  A fork copies only the calling thread, so fork where
-no other thread runs: one that held a lock at the fork leaves it held in
-the child.
+The package's one way to use several CPUs: a figure's curves and the brute
+path's codebook searches both run here.  A child gets its jobs by os.fork,
+which copies them as they are, so a job may be any callable; only results
+and exceptions are pickled, back to the process that forked.  A fork
+copies only the calling thread, and a lock another thread held at the
+fork stays held in the child, so where os.fork is missing or another
+thread runs, every job runs on the calling process instead.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 
 
 def _run_share(work, indices: list[int]) -> tuple[dict, tuple | None]:
@@ -60,11 +63,15 @@ def run_in_shares(work, shares: list[list[int]]) -> list:
     """[work(i) for every i in the shares], in order of i, each share on its
     own process: the first on the calling one, each other in a forked child
     that pickles its results back through a pipe.  work(i) must not depend
-    on which process runs it.
+    on which process runs it.  Without os.fork, or while another thread
+    runs, every job runs on the calling process, in order of i.
 
     Every child is reaped, and if jobs fail, the exception of the lowest
-    index is raised, the one a serial loop would have raised.
+    index is raised, the one a serial loop would have raised.  A child that
+    dies without reporting raises ChildProcessError.
     """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        shares = [sorted(i for share in shares for i in share)]
     children = []
     try:
         for indices in shares[1:]:
@@ -77,7 +84,7 @@ def run_in_shares(work, shares: list[list[int]]) -> list:
             children.pop(0)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code != 0 or not data:
-                raise RuntimeError(f"a forked share exited with code {code}")
+                raise ChildProcessError(f"a forked share exited with code {code}")
             outcomes.append(pickle.loads(data))
     finally:
         for pid, pipe in children:

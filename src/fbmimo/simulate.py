@@ -12,17 +12,17 @@ Two quantized-CSIT paths are available: brute_force enumerates a fresh
 random codebook per user per trial (integer B with M * 2^B <= 2^24;
 non-integer B is rounded up), while fast_decomposition samples the error
 statistic directly and is exact in distribution at any real B.  Large
-brute codebooks are drawn and searched on threads, one contiguous run of a
-stack's trials per CPU the process may use; each trial still draws only
-from its own stream, so the result is bit-identical whatever the thread
-count.  Everything else runs on the calling thread.
+brute codebooks are drawn and searched in shares (fbmimo.shares), one
+contiguous run of a stack's trials per CPU the process may use, each run
+on its own process; each trial still draws only from its own stream, and
+hands its stream's state back, so the result is bit-identical whatever
+the share count.  Everything else runs on the calling process.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,14 +43,14 @@ DEFAULT_SEED = 42
 
 _MAX_RESAMPLES = 1000
 _BLOCK = 1024  # trials drawn and evaluated as one stack
-# Brute-path threads are sized by a codebook's M * 2^B complex entries.
-# On 2 CPUs, one trial stack of 1024, two threads beat one from 2048 entries
-# per codebook (M=2, B=10; M=4, B=9; M=8, B=8: 10-19% faster, 10/10 pairs),
-# broke even at 1536 and lost at 1024 (about 20% slower).  A codebook's draw
-# and search peak at 34-40 bytes per entry, so 2^20 entries over all
-# threads hold about 40 MiB.
-_THREAD_MIN_ENTRIES = 1 << 11
-_THREAD_BUDGET_ENTRIES = 1 << 20
+# Brute-path shares are sized by a codebook's M * 2^B complex entries.  A
+# fork has a fixed cost, which small codebooks do not repay: on 2 CPUs,
+# without this gate, the engine took about 105 -> 143 ms at M=2, B=2 (5
+# points x 300 trials) and 30 -> 50 ms at M=4, B=4 (40 trials).  A
+# codebook's draw and search peak at 34-40 bytes per entry, so 2^20 entries
+# over all of a stack's processes hold about 40 MiB.
+_SHARE_MIN_ENTRIES = 1 << 11
+_SHARE_BUDGET_ENTRIES = 1 << 20
 # the highest SNR point; a point's power 10^(dB/10) overflows from ~3082.55 dB
 MAX_SNR_DB = 3082.5
 
@@ -131,46 +131,17 @@ def _cpus() -> int:
 
 
 def _workers(M: int, B: float, trials: int, cpus: int) -> int:
-    """Threads that draw and search the codebooks of `trials` trials.
+    """Shares that draw and search the codebooks of `trials` trials.
 
-    One below _THREAD_MIN_ENTRIES entries (M * 2^B) per codebook, where
-    per-codebook Python holds the interpreter lock longer than numpy drops
-    it.  Above, one per CPU and per trial, but no more than keep the
-    threads' codebooks within _THREAD_BUDGET_ENTRIES together.
+    One below _SHARE_MIN_ENTRIES entries (M * 2^B) per codebook, where a
+    fork costs more than it saves.  Above, one per CPU and per trial, but
+    no more than keep the shares' codebooks within _SHARE_BUDGET_ENTRIES
+    together.
     """
     entries = M << int(B)
-    if entries < _THREAD_MIN_ENTRIES:
+    if entries < _SHARE_MIN_ENTRIES:
         return 1
-    return max(1, min(cpus, trials, _THREAD_BUDGET_ENTRIES // entries))
-
-
-def _each_trial(n: int, work, workers: int) -> None:
-    """work(t) for t in 0..n-1, as `workers` contiguous runs of trials.
-
-    The calling thread runs the first run and one thread each the rest.
-    work(t) may touch only trial t's generator and output rows, so the
-    result does not depend on the split.  If runs fail, the exception of
-    the lowest one is raised, the one a serial loop would have raised.
-    """
-    edges = [n * w // workers for w in range(workers + 1)]
-    errors = [None] * workers
-
-    def run(w: int) -> None:
-        try:
-            for t in range(edges[w], edges[w + 1]):
-                work(t)
-        except BaseException as err:  # re-raised below, after every join
-            errors[w] = err
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    return max(1, min(cpus, trials, _SHARE_BUDGET_ENTRIES // entries))
 
 
 def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,17 +227,29 @@ def _quantized_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     each user's ||h||^2 and error Z = sin^2(angle(h, h_hat)), (trials, K)."""
     M, K = cfg.M, cfg.K
     if cfg.path == BRUTE_FORCE:
+        from .shares import run_in_shares  # here, so that importing fbmimo.cli never loads it
         H = sample_complex_gaussian(M, gens, size=K)
-        h_hat = np.empty_like(H)
-        z = np.empty(H.shape[:-1])
+        workers = _workers(M, B, len(gens), _cpus())
+        edges = [len(gens) * w // workers for w in range(workers + 1)]
 
-        def search(t: int) -> None:
-            for i in range(K):
-                q = quantize(H[t, i], generate_codebook(M, B, gens[t]))
-                h_hat[t, i], z[t, i] = q.h_hat, q.error_z
+        def search(w: int) -> tuple:
+            """Run w's quantized directions and errors, copied out of the
+            codebooks so that none outlives its search, and, but for run 0,
+            which runs on the calling process, its streams' states after
+            their codebooks."""
+            run = range(edges[w], edges[w + 1])
+            h_hat, z = np.empty((len(run), K, M), complex), np.empty((len(run), K))
+            for j, t in enumerate(run):
+                for i in range(K):
+                    q = quantize(H[t, i], generate_codebook(M, B, gens[t]))
+                    h_hat[j, i], z[j, i] = q.h_hat, q.error_z
+            return h_hat, z, [gens[t].bit_generator.state for t in run] if w else []
 
-        _each_trial(len(gens), search, _workers(M, B, len(gens), _cpus()))
-        return H, h_hat, _vdot_rows(H, H).real, z
+        h_hats, zs, states = zip(*run_in_shares(search, [[w] for w in range(workers)]))
+        # a singular redraw continues each stream where a serial run would
+        for gen, state in zip(gens[edges[1]:], (state for part in states for state in part)):
+            gen.bit_generator.state = state
+        return H, np.concatenate(h_hats), _vdot_rows(H, H).real, np.concatenate(zs)
     h_dir, h_hat, z = sample_quantized_pair(M, B, gens, size=K)
     mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
     return np.sqrt(mag2)[..., None] * h_dir, h_hat, mag2, z

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import os
+
 import numpy as np
 
 from fbmimo.errors import DomainError
@@ -20,3 +22,12 @@ def angle_sin2(a: np.ndarray, b: np.ndarray) -> float:
         raise DomainError("angle_sin2 is undefined for zero vectors")
     cos2 = abs(np.vdot(a, b)) ** 2 / (na2 * nb2)
     return min(max(1.0 - cos2, 0.0), 1.0)
+
+
+def no_child_left() -> bool:
+    """True if this process has no child, not even an unreaped one."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

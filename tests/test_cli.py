@@ -17,7 +17,8 @@ from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, mai
 from fbmimo.errors import ConfigError, DomainError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
 from fbmimo.shares import run_in_shares
-from fbmimo.simulate import FAST_DECOMPOSITION, SimConfig, mu_throughput
+from fbmimo.simulate import BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, mu_throughput
+from helpers import no_child_left
 
 
 def _blas_env(**extra):
@@ -80,6 +81,11 @@ class TestParseBitRange:
         for bad in ("8..5", "a..b", "3.5", "five"):
             with pytest.raises(ConfigError):
                 parse_bit_range(bad)
+
+    def test_range_is_capped_before_it_is_built(self):
+        assert len(parse_bit_range("0..99999")) == 100_000
+        with pytest.raises(ConfigError, match="'0..100000'"):  # 100,001 values
+            parse_bit_range("0..100000")
 
 
 class TestConfigMerging:
@@ -446,14 +452,6 @@ class _TwoArgError(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 class TestFigureShares:
     """A figure's curves run in one process per share (fbmimo.shares)."""
 
@@ -465,7 +463,7 @@ class TestFigureShares:
             out = tmp_path / f"{count}.csv"
             assert main([*argv, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert _no_child_left()
+        assert no_child_left()
         return outputs
 
     @pytest.mark.parametrize("fid", FIGURE_IDS)
@@ -473,25 +471,29 @@ class TestFigureShares:
         serial, *shared = self._outputs(monkeypatch, tmp_path, ["figure", fid, "--trials", "40"])
         assert all(output == serial for output in shared)
 
-    def test_brute_threads_inside_the_shares(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
+    def test_brute_shares_inside_the_figure_shares(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulate, "_SHARE_MIN_ENTRIES", 0)
         serial, *shared = self._outputs(monkeypatch, tmp_path, [
             "figure", "compare44", "--path", "brute", "--snr", "0:5:10", "--trials", "20"])
         assert all(output == serial for output in shared)
 
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_stdout_written_once(self, count):
+    @pytest.mark.parametrize("count, argv", [
+        *(pytest.param(count, ["figure", "compare44"], id=str(count)) for count in (1, 2, 3)),
+        *(pytest.param(count, ["sweep", "--M", "4", "--B", "10", "--path", "brute",
+                               "--snr", "0:10:10"], id=f"brute-sweep-{count}")
+          for count in (1, 2, 3))])
+    def test_stdout_written_once(self, count, argv):
         # text still buffered in the parent at the fork reaches stdout once
+        argv = [*argv, "--trials", "8", "--out", "-"]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fbmimo import cli, simulate; "
              f"simulate._cpus = lambda: {count}; sys.stdout.write('before\\n'); "
-             "sys.exit(cli.main(['figure', 'compare44', '--trials', '8', '--out', '-']))"],
+             f"sys.exit(cli.main({argv!r}))"],
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
-        csv_only = subprocess.run(
-            [sys.executable, "-m", "fbmimo.cli", "figure", "compare44", "--trials", "8",
-             "--out", "-"], capture_output=True, text=True, timeout=120, env=env)
+        csv_only = subprocess.run([sys.executable, "-m", "fbmimo.cli", *argv],
+                                  capture_output=True, text=True, timeout=120, env=env)
         assert proc.stdout == "before\n" + csv_only.stdout and proc.stderr == ""
 
     @pytest.mark.parametrize("fid, count, forks", [("miso4x1", 2, 0), ("compare88", 1, 0),
@@ -507,7 +509,7 @@ class TestFigureShares:
         monkeypatch.setattr(simulate, "_cpus", lambda: count)
         monkeypatch.setattr(os, "fork", spy)
         assert main(["figure", fid, "--trials", "2", "--snr", "0:10:10", "--out", "-"]) == 0
-        assert len(calls) == forks and _no_child_left()
+        assert len(calls) == forks and no_child_left()
 
     def test_singular_curve_in_a_forked_share_is_exit_4(self, monkeypatch, capsys):
         # zf_beamformers is singular everywhere serially, and only off the
@@ -529,7 +531,7 @@ class TestFigureShares:
             lines.append(capsys.readouterr().err)
         assert lines[0] == lines[1] == ("simulation error: exceeded 1000 singular-channel "
                                         "resamples in one trial\n")
-        assert _no_child_left()
+        assert no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("fid, failing", [
@@ -552,7 +554,7 @@ class TestFigureShares:
         monkeypatch.setattr(simulate, "_cpus", lambda: count)
         assert main(["figure", fid, "--trials", "2", "--snr", "0:10:10", "--out", "-"]) == 2
         assert capsys.readouterr().err == f"config error: {failing[0]}\n"
-        assert _no_child_left()
+        assert no_child_left()
 
     @pytest.mark.parametrize("shares", [[[0, 2], [1, 3]], [[1, 3], [0, 2]], [[3], [2], [1, 0]]])
     def test_helper_raises_the_lowest_index(self, shares):
@@ -564,7 +566,7 @@ class TestFigureShares:
         with pytest.raises(DomainError, match="job 1"):
             run_in_shares(work, shares)
         assert run_in_shares(lambda i: i * 10, shares) == [0, 10, 20, 30]
-        assert _no_child_left()
+        assert no_child_left()
 
     def test_unpicklable_exception_is_named(self):
         class LocalError(Exception):  # a local class does not pickle
@@ -581,12 +583,84 @@ class TestFigureShares:
             run_in_shares(work, [[0], [1]])
         with pytest.raises(RuntimeError, match="_TwoArgError: left and right"):
             run_in_shares(work, [[0], [2]])
-        assert _no_child_left()
+        assert no_child_left()
 
     def test_child_that_dies_is_an_error(self):
-        with pytest.raises(RuntimeError, match="exited with code 3"):
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
             run_in_shares(lambda i: os._exit(3) if i == 1 else i, [[0], [1]])
-        assert _no_child_left()
+        assert no_child_left()
+
+    def test_share_that_dies_is_exit_3(self, monkeypatch, capsys):
+        # random_bf shares a forked process with rzf_quantized_B20 on 2 CPUs
+        parent, draw = os.getpid(), simulate._random_bf_draw
+
+        def dies_off_the_calling_process(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_random_bf_draw", dies_off_the_calling_process)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        assert main(["figure", "compare88", "--trials", "2", "--snr", "0:10:10",
+                     "--out", "-"]) == 3
+        assert capsys.readouterr().err == "i/o error: a forked share exited with code 9\n"
+        assert no_child_left()
+
+
+class TestForkRule:
+    """Only fbmimo.shares forks, and only while no other thread runs."""
+
+    @pytest.mark.parametrize("argv, forks", [
+        pytest.param(["sweep", "--M", "4", "--B", "10", "--path", "brute", "--snr", "10:10:10"],
+                     1, id="brute-sweep"),
+        # one figure share, and the search at 10 dB (B = 10) on the calling
+        # process; the forked share's search forks in that child
+        pytest.param(["figure", "compare44", "--path", "brute", "--snr", "0:5:10"], 2,
+                     id="brute-figure"),
+        pytest.param(["sweep", "--M", "4", "--B", "10", "--path", "fast", "--snr", "0:10:10"],
+                     0, id="fast-sweep"),
+        pytest.param(["figure", "miso4x1"], 0, id="miso4x1"),
+        pytest.param(["figure", "compare88"], 1, id="compare88"),
+    ])
+    def test_forks_while_no_other_thread_runs(self, argv, forks, monkeypatch):
+        fork, calls = os.fork, []
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        def spy():
+            assert threading.active_count() == 1
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(os, "fork", spy)
+        assert main([*argv, "--trials", "2", "--out", "-"]) == 0
+        assert len(calls) == forks and no_child_left()
+
+    def test_library_call_from_a_second_thread_does_not_fork(self, monkeypatch):
+        fork, calls = os.fork, []
+
+        def spy():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", spy)
+        cfg = SimConfig(M=4, K=4, snr_grid_db=(0.0, 10.0), policy=ScalingPolicy.fixed(10),
+                        path=BRUTE_FORCE, trials=8)
+        want = mu_throughput(cfg)
+        assert len(calls) == 2  # one search per point forks
+        calls.clear()
+        got = []
+        thread = threading.Thread(target=lambda: got.append(mu_throughput(cfg)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and not calls and no_child_left()
+        np.testing.assert_array_equal(got[0].mean_bps_hz, want.mean_bps_hz)
+        np.testing.assert_array_equal(got[0].std_err, want.std_err)
+        np.testing.assert_array_equal(got[0].resamples, want.resamples)
 
 
 class TestValidateCommand:
@@ -676,39 +750,21 @@ class TestExitCodes:
         assert err.startswith("config error") and "20.0 dB" in err
 
     def test_worker_thread_error_is_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(simulate, "_THREAD_MIN_ENTRIES", 0)
+        monkeypatch.setattr(simulate, "_SHARE_MIN_ENTRIES", 0)
         monkeypatch.setattr(simulate, "_cpus", lambda: 2)
-        quantize = simulate.quantize
+        quantize, parent = simulate.quantize, os.getpid()
 
-        def fails_off_the_calling_thread(h, codebook):
-            if threading.current_thread() is not threading.main_thread():
+        def fails_off_the_calling_process(h, codebook):
+            if os.getpid() != parent:
                 raise DomainError("worker trial")
             return quantize(h, codebook)
 
-        monkeypatch.setattr(simulate, "quantize", fails_off_the_calling_thread)
-        before = threading.active_count()
+        monkeypatch.setattr(simulate, "quantize", fails_off_the_calling_process)
         code = main(["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:10:10",
                      "--trials", "20", "--out", "-"])
-        err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error: worker trial") and "Traceback" not in err
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("argv", [
-        ["figure", "compare88", "--trials", "4"],
-        ["sweep", "--M", "4", "--B", "10", "--path", "fast", "--snr", "0:10:10",
-         "--trials", "20"],
-    ])
-    def test_serial_paths_start_no_thread(self, argv, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        with pytest.raises(AssertionError, match="thread"):  # the patch does bite
-            main(["sweep", "--M", "4", "--B", "10", "--path", "brute", "--snr", "0:10:10",
-                  "--trials", "2", "--out", "-"])
-        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().err == "config error: worker trial\n"
+        assert no_child_left()
 
     def test_config_file_supplies_fields(self, tmp_path):
         p = tmp_path / "ok.json"
@@ -771,11 +827,11 @@ class TestModuleEntryPoint:
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random lazily; RngStream registers its Philox
         # key with numpy.random only when the first stream is built.  The
-        # brute path's threads come from threading, which numpy already
-        # loads, not from concurrent.futures.
+        # figures and the brute path load their shares (fork and pipe) when
+        # they first run, and nothing loads concurrent.futures.
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, fbmimo.cli; "
-             "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"],
+            [sys.executable, "-c", "import sys, fbmimo.cli; print([m for m in "
+             "('numpy.random', 'concurrent.futures', 'fbmimo.shares') if m in sys.modules])"],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -1,13 +1,12 @@
 import dataclasses
 import math
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from fbmimo import numerics
+from fbmimo import numerics, shares
 from fbmimo import simulate as sim
 from fbmimo.bounds import (ScalingPolicy, random_bf_sum_rate, unitary_sum_rate,
                            zf_perfect_sum_rate)
@@ -19,6 +18,7 @@ from fbmimo.quantizer import (expected_error, generate_codebook, quantize,
 from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig,
                              miso_feedback_throughput, mu_throughput, random_bf_throughput,
                              rate_gap, tdma_throughput, trial_streams)
+from helpers import no_child_left
 
 B4 = ScalingPolicy.fixed(4)
 
@@ -772,14 +772,14 @@ class TestWorkerCount:
         assert sim._workers(4, 8, 300, 2) == 1  # below the size gate
         assert sim._workers(4, 9, 300, 2) == 2
         assert sim._workers(4, 10, 300, 2) == 2
-        assert sim._workers(6, 12, 5, 7) == 5  # no more threads than trials
+        assert sim._workers(6, 12, 5, 7) == 5  # no more shares than trials
         assert sim._workers(4, 10, 1, 2) == 1
         assert sim._workers(4, 17, 300, 8) == 2  # 2 x 2^19 entries fill the budget
         assert sim._workers(4, 18, 300, 8) == 1
         assert sim._workers(4, 30, 300, 8) == 1
 
 
-_THREADED_CASES = {
+_BRUTE_CASES = {
     "zf_brute": (sim.mu_throughput, dict(path=BRUTE_FORCE)),
     "rzf_brute": (sim.mu_throughput, dict(path=BRUTE_FORCE, precoder=RZF)),
     "miso_brute": (sim.miso_feedback_throughput, dict(K=1, path=BRUTE_FORCE)),
@@ -787,31 +787,34 @@ _THREADED_CASES = {
 
 
 class TestWorkerCountInvariance:
-    """The brute path gives the serial run's arrays whatever the thread count.
+    """The brute path gives the serial run's arrays whatever the share count.
 
-    37 trials in blocks of 16, 16 and 5, so 7 workers are also capped at the
+    37 trials in blocks of 16, 16 and 5, so 7 shares are also capped at the
     5 trials of the last block.  The size gate is lowered so that these small
-    codebooks are threaded.
+    codebooks are searched in shares.
     """
 
     @pytest.fixture
     def workers_used(self, monkeypatch):
+        """(trials, shares) of each brute search, and a fork happened."""
         monkeypatch.setattr(sim, "_BLOCK", 16)
-        monkeypatch.setattr(sim, "_THREAD_MIN_ENTRIES", 0)
-        used = []
-        each_trial = sim._each_trial
+        monkeypatch.setattr(sim, "_SHARE_MIN_ENTRIES", 0)
+        used, forks = [], []
+        run_in_shares, fork = shares.run_in_shares, os.fork
 
-        def spy(n, work, workers):
-            used.append((n, workers))
-            return each_trial(n, work, workers)
+        def spy(work, parts):
+            runs = run_in_shares(work, parts)
+            used.append((sum(len(h_hat) for h_hat, _, _ in runs), len(parts)))
+            return runs
 
-        monkeypatch.setattr(sim, "_each_trial", spy)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
-        try:
-            yield used
-        finally:
-            sys.setswitchinterval(interval)
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(shares, "run_in_shares", spy)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        yield used
+        assert forks and no_child_left()
 
     def _at(self, monkeypatch, cpus, run):
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
@@ -827,7 +830,7 @@ class TestWorkerCountInvariance:
         if singular:  # as in TestStackedEnginesMatchOneTrialAtATime
             monkeypatch.setattr(numerics, "_ill_conditioned",
                                 lambda a, inv: np.abs(a[..., 0, 0]) < 0.3)
-        engine, kw = _THREADED_CASES[case]
+        engine, kw = _BRUTE_CASES[case]
         cfg = SimConfig(**{**dict(M=3, K=3, snr_grid_db=(0.0, 15.0), policy=B4, trials=37,
                                   seed=19), **kw})
         want = self._at(monkeypatch, 1, lambda: engine(cfg))
@@ -838,7 +841,7 @@ class TestWorkerCountInvariance:
         np.testing.assert_array_equal(got.std_err, want.std_err)
         np.testing.assert_array_equal(got.resamples, want.resamples)
         assert (16, cpus) in workers_used and (5, min(cpus, 5)) in workers_used
-        if singular:  # flagged subsets were redrawn through the threads too
+        if singular:  # flagged subsets were redrawn through the shares too
             assert want.resamples.sum() > 0
             assert any(n not in (16, 5) for n, _ in workers_used)
 
@@ -856,31 +859,17 @@ class TestWorkerCountInvariance:
 
 
 class TestThreadedFailures:
-    def test_lowest_failing_run_raises(self):
-        # runs [0, 5), [5, 10) and [10, 16): a serial loop stops at trial 7
-        def work(t):
-            if t in (7, 12):
-                raise DomainError(f"trial {t}")
-
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="trial 7"):
-            sim._each_trial(16, work, 3)
-        assert threading.active_count() == before
-
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(sim, "_THREAD_MIN_ENTRIES", 0)
+        monkeypatch.setattr(sim, "_SHARE_MIN_ENTRIES", 0)
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
-        quantize, raised = sim.quantize, []
+        quantize, parent = sim.quantize, os.getpid()
 
-        def fails_off_the_calling_thread(h, codebook):
-            if threading.current_thread() is not threading.main_thread():
-                raised.append(DomainError("worker trial"))
-                raise raised[-1]
+        def fails_off_the_calling_process(h, codebook):
+            if os.getpid() != parent:
+                raise DomainError("worker trial")
             return quantize(h, codebook)
 
-        monkeypatch.setattr(sim, "quantize", fails_off_the_calling_thread)
-        before = threading.active_count()
-        with pytest.raises(DomainError) as excinfo:
+        monkeypatch.setattr(sim, "quantize", fails_off_the_calling_process)
+        with pytest.raises(DomainError, match="^worker trial$"):
             sim.mu_throughput(_cfg(path=BRUTE_FORCE, trials=16))
-        assert raised and excinfo.value is raised[0]
-        assert threading.active_count() == before
+        assert no_child_left()
