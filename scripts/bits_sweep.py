@@ -10,9 +10,9 @@ import argparse
 import csv
 import sys
 
-from fbmimo.bounds import ceiling_fixed_B, rate_gap_bound
+from fbmimo import ScalingPolicy, SimConfig, ceiling_fixed_B, mu_throughput, rate_gap_bound
 from fbmimo.cli import parse_bit_range
-from fbmimo.simulate import FAST_DECOMPOSITION, ScalingPolicy, SimConfig, mu_throughput
+from fbmimo.simulate import FAST_DECOMPOSITION
 
 
 def main() -> int:

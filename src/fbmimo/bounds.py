@@ -15,85 +15,77 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .numerics import LOG2E, LOG2_10
-from .quantizer import _harmonic, expected_neg_log2_error
+from .quantizer import _check_bits, _check_m, _harmonic, expected_neg_log2_error
 
 FIXED_B = "fixed_B"
 EXACT_SCALED = "exact_scaled"
 APPROX_3DB_SCALED = "approx_3db_scaled"
 ALPHA_SCALED = "alpha_scaled"
 
-_POLICY_KINDS = (FIXED_B, EXACT_SCALED, APPROX_3DB_SCALED, ALPHA_SCALED)
-
 
 @dataclass(frozen=True)
 class ScalingPolicy:
-    """How feedback bits vary with operating SNR.
+    """How feedback bits vary with operating SNR; ``value`` is the kind's
+    one parameter.
 
-    fixed_B holds B constant; exact_scaled targets a power gap of
-    10*log10(b_gap) dB via B = (M-1) log2 P - (M-1) log2(b_gap - 1);
-    approx_3db_scaled is the same law with log2 P replaced by P_dB/3;
-    alpha_scaled grows B = alpha * log2 P for multiplexing-gain studies.
+    fixed_B holds B = value constant; exact_scaled targets a power gap of
+    10*log10(b_gap) dB, b_gap = value, via
+    B = (M-1) log2 P - (M-1) log2(b_gap - 1); approx_3db_scaled is the same
+    law with log2 P replaced by P_dB/3; alpha_scaled grows
+    B = alpha * log2 P, alpha = value, for multiplexing-gain studies.
     """
 
     kind: str
-    B_fixed: int | None = None
-    b_gap: float | None = None
-    alpha: float | None = None
+    value: float
 
     def __post_init__(self):
-        if self.kind not in _POLICY_KINDS:
-            raise DomainError(f"unknown policy kind {self.kind!r}")
+        v = self.value
         if self.kind == FIXED_B:
-            if self.B_fixed is None or self.B_fixed < 0 or self.B_fixed != int(self.B_fixed):
+            if not (math.isfinite(v) and v >= 0 and v == int(v)):
                 raise DomainError("fixed_B policy needs an integer B_fixed >= 0")
-            if self.b_gap is not None or self.alpha is not None:
-                raise DomainError("fixed_B policy takes only B_fixed")
         elif self.kind in (EXACT_SCALED, APPROX_3DB_SCALED):
-            if self.b_gap is None or not math.isfinite(self.b_gap) or self.b_gap <= 1.0:
-                raise DomainError(f"scaled policies need a finite b_gap > 1, got {self.b_gap}")
-            if self.B_fixed is not None or self.alpha is not None:
-                raise DomainError(f"{self.kind} policy takes only b_gap")
+            if not (math.isfinite(v) and v > 1.0):
+                raise DomainError(f"scaled policies need a finite b_gap > 1, got {v}")
+        elif self.kind == ALPHA_SCALED:
+            if not (math.isfinite(v) and v >= 0.0):
+                raise DomainError(f"alpha_scaled policy needs a finite alpha >= 0, got {v}")
         else:
-            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha < 0.0:
-                raise DomainError(
-                    f"alpha_scaled policy needs a finite alpha >= 0, got {self.alpha}")
-            if self.B_fixed is not None or self.b_gap is not None:
-                raise DomainError("alpha_scaled policy takes only alpha")
+            raise DomainError(f"unknown policy kind {self.kind!r}")
 
     @classmethod
     def fixed(cls, B: int) -> "ScalingPolicy":
-        return cls(kind=FIXED_B, B_fixed=B)
+        return cls(FIXED_B, B)
 
     @classmethod
     def exact_scaled(cls, b_gap: float) -> "ScalingPolicy":
-        return cls(kind=EXACT_SCALED, b_gap=b_gap)
+        return cls(EXACT_SCALED, b_gap)
 
     @classmethod
     def approx_3db(cls, b_gap: float) -> "ScalingPolicy":
-        return cls(kind=APPROX_3DB_SCALED, b_gap=b_gap)
+        return cls(APPROX_3DB_SCALED, b_gap)
 
     @classmethod
     def alpha_scaled(cls, alpha: float) -> "ScalingPolicy":
-        return cls(kind=ALPHA_SCALED, alpha=alpha)
+        return cls(ALPHA_SCALED, alpha)
 
     def bits(self, snr_db: float, M: int) -> float:
         """Feedback bits at the given operating point (real-valued)."""
         if self.kind == FIXED_B:
-            return float(self.B_fixed)
+            return float(self.value)
         if self.kind == EXACT_SCALED:
-            return feedback_bits(snr_db, M, self.b_gap, mode="exact")
+            return feedback_bits(snr_db, M, self.value, mode="exact")
         if self.kind == APPROX_3DB_SCALED:
-            return feedback_bits(snr_db, M, self.b_gap, mode="approx_3")
-        return max(0.0, self.alpha * snr_db * LOG2_10 / 10.0)
+            return feedback_bits(snr_db, M, self.value, mode="approx_3")
+        return max(0.0, self.value * snr_db * LOG2_10 / 10.0)
 
     def describe(self) -> str:
         if self.kind == FIXED_B:
-            return f"fixed_B={self.B_fixed}"
+            return f"fixed_B={self.value}"
         if self.kind == EXACT_SCALED:
-            return f"exact_scaled(b={self.b_gap:g})"
+            return f"exact_scaled(b={self.value:g})"
         if self.kind == APPROX_3DB_SCALED:
-            return f"approx_3db(b={self.b_gap:g})"
-        return f"alpha={self.alpha:g}"
+            return f"approx_3db(b={self.value:g})"
+        return f"alpha={self.value:g}"
 
 
 @dataclass(frozen=True)
@@ -150,12 +142,10 @@ def snr_db_to_linear(snr_db) -> np.ndarray:
 def rate_gap_bound(P: float, M: int, B: float) -> float:
     """Per-user throughput loss bound log2(1 + P * 2^(-B/(M-1))) for
     quantized versus perfect-CSIT zero-forcing."""
-    if P <= 0.0:
+    if not P > 0.0:
         raise DomainError(f"P must be > 0, got {P}")
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
-    if B < 0:
-        raise DomainError(f"B must be >= 0, got {B}")
+    _check_m(M)
+    _check_bits(B)
     return math.log2(1.0 + P * 2.0 ** (-B / (M - 1.0)))
 
 
@@ -166,9 +156,8 @@ def ceiling_fixed_B(M: int, B: int) -> tuple[float, float]:
     upper bound and is undefined at M = 2 (log2(M-2) degenerates), in
     which case the exact form is returned in both slots.
     """
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
-    if B < 0 or B != int(B):
+    _check_m(M)
+    if not (math.isfinite(B) and B >= 0 and B == int(B)):
         raise DomainError(f"B must be a nonnegative integer, got {B}")
     exact = M * (1.0 + expected_neg_log2_error(M, B) + LOG2E * _harmonic(M - 2))
     if M == 2:
@@ -184,10 +173,11 @@ def feedback_bits(snr_db: float, M: int, b: float, mode: str = "exact") -> float
     replaces log2 P with P_dB / 3 (the 3-dB-per-bit rule of thumb).
     Clamped at zero; b must exceed 1 for the target gap to be achievable.
     """
-    if b <= 1.0:
+    if not b > 1.0:
         raise DomainError(f"b must be > 1, got {b}")
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
+    _check_m(M)
+    if math.isnan(snr_db):
+        raise DomainError(f"snr_db must be a number, got {snr_db}")
     if mode == "exact":
         bits = (M - 1.0) * (snr_db * LOG2_10 / 10.0 - math.log2(b - 1.0))
     elif mode == "approx_3":
@@ -199,26 +189,23 @@ def feedback_bits(snr_db: float, M: int, b: float, mode: str = "exact") -> float
 
 def mux_gain_prediction(alpha: float, M: int) -> float:
     """Multiplexing gain M * min(alpha/(M-1), 1) when B = alpha * log2 P."""
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
+    _check_m(M)
     return M * min(alpha / (M - 1.0), 1.0)
 
 
 def rvq_bit_penalty(M: int) -> float:
     """Extra bits (M-1) log2(M/(M-1)) a random codebook needs relative to an
     idealized quantizer to match mean error; bounded above by log2 e."""
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
+    _check_m(M)
     return (M - 1.0) * math.log2(M / (M - 1.0))
 
 
 def zf_dpc_power_offset_db(M: int) -> float:
     """Asymptotic power penalty of perfect-CSIT ZF versus optimal dirty-paper
     coding: (3 log2 e / M) * sum_{j=1}^{M-1} j/(M-j) dB."""
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
+    _check_m(M)
     return 3.0 * LOG2E / M * sum(j / (M - j) for j in range(1, M))
 
 
@@ -316,7 +303,7 @@ def zf_perfect_sum_rate(P: float, M: int) -> float:
     Each user's ZF gain is Exp(1), so the mean is M E[log2(1 + (P/M) X)]
     = M log2(e) e^(M/P) E1(M/P), and 0 at P = 0.
     """
-    if P < 0.0:
+    if not P >= 0.0:
         raise DomainError(f"P must be >= 0, got {P}")
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
@@ -332,7 +319,7 @@ def unitary_sum_rate(P: float, M: int) -> float:
     Gamma(M, 1).  So the mean is M (E[log2(1 + (P/M) Gamma(M))] -
     E[log2(1 + (P/M) Gamma(M - 1))]), and 0 at P = 0.
     """
-    if P < 0.0:
+    if not P >= 0.0:
         raise DomainError(f"P must be >= 0, got {P}")
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
@@ -409,12 +396,10 @@ def miso_reference(P: float, M: int, B: float) -> MisoReference:
     the effective channel power by (1 - 2^(-B/(M-1))) to approximate B-bit
     quantized beamforming.
     """
-    if P <= 0.0:
+    if not P > 0.0:
         raise DomainError(f"P must be > 0, got {P}")
-    if M < 2:
-        raise DomainError(f"M must be >= 2, got {M}")
-    if B < 0:
-        raise DomainError(f"B must be >= 0, got {B}")
+    _check_m(M)
+    _check_bits(B)
     return MisoReference(
         c_csit=_ergodic_rate(P, M),
         c_nocsit=_ergodic_rate(P / M, M),

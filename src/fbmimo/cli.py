@@ -21,6 +21,8 @@ from . import simulate as sim
 from .bounds import ScalingPolicy, ThroughputCurve
 from .errors import CapacityError, ConfigError, DomainError, ResampleLimitError
 from .precoder import RZF, ZF
+from .quantizer import (error_upper_bound, expected_error, expected_neg_log2_error,
+                        expected_optimal_error)
 
 CSV_COLUMNS = ["experiment", "curve", "M", "K", "policy", "precoder", "B_bits",
                "snr_db", "throughput_bps_hz", "std_err", "trials", "seed", "resamples"]
@@ -339,8 +341,6 @@ def _run_sweep(spec: ExperimentSpec) -> int:
 
 
 def _run_table(spec: ExperimentSpec) -> int:
-    from .quantizer import (error_upper_bound, expected_error,
-                            expected_neg_log2_error, expected_optimal_error)
     if spec.B is None:
         raise ConfigError("table requires field 'B' (single value or lo..hi)")
     header = ["B", "expected_error", "upper_bound", "optimal_lower_mean", "neg_log2_mean"]

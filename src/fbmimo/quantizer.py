@@ -6,11 +6,15 @@ of the codeword closest in angle to its channel direction; the figure of
 merit is the squared angular error ``Z = sin^2(angle(h, h_hat))``, which is
 the minimum of ``2**B`` independent Beta(M-1, 1) variables.
 
-Closed-form statistics of ``Z`` are exposed alongside a direct sampler that
-inverts the CCDF, which is what makes large-B experiments affordable: the
-decomposition ``h_dir = sqrt(1-Z) h_hat + sqrt(Z) s`` (``s`` isotropic in
-the nullspace of ``h_hat``, independent of ``Z``) reproduces the joint law
-of the quantized pair without enumerating a codebook.
+The brute-force path draws and searches codebooks (``generate_codebook``,
+``quantize``).  The closed forms are the law of ``Z`` (its CCDF, E[Z] and
+its bound 2^(-B/(M-1)), E[-log2 Z]) and the mean error of an idealized
+quantizer.  The fast path samples ``Z`` by inverting the CCDF, which is
+what makes large-B experiments affordable: the decomposition
+``h_dir = sqrt(1-Z) h_hat + sqrt(Z) s`` (``s`` isotropic in the nullspace
+of ``h_hat``, independent of ``Z``) reproduces the joint law of the
+quantized pair without enumerating a codebook.  Both samplers draw
+``size`` values per generator.
 """
 
 from __future__ import annotations
@@ -36,32 +40,29 @@ _LN2 = math.log(2.0)
 class Codebook:
     """``2**B`` unit-norm codewords in C^M, one per row of ``words``."""
 
-    M: int
-    B: int
     words: np.ndarray
 
 
 @dataclass(frozen=True)
 class QuantizationOutcome:
-    index: int
     h_hat: np.ndarray
     error_z: float
 
 
 def _check_m(M: int) -> None:
-    if M < 2:
+    if not M >= 2:
         raise DomainError(f"M must be >= 2, got {M}")
 
 
 def _check_bits(B: float) -> None:
-    if B < 0:
+    if not B >= 0:
         raise DomainError(f"B must be >= 0, got {B}")
 
 
 def _enumerable_bits(M: int, B) -> int:
     """B as the bits of a codebook in C^M: an integer >= 0 with M * 2^B at
     most MAX_CODEBOOK_ENTRIES."""
-    if B != int(B) or B < 0:
+    if not (math.isfinite(B) and B >= 0 and B == int(B)):
         raise DomainError(f"codebook bits must be a nonnegative integer, got {B}")
     B = int(B)
     if M > MAX_CODEBOOK_ENTRIES >> B:
@@ -75,7 +76,7 @@ def generate_codebook(M: int, B: int, rng: np.random.Generator) -> Codebook:
     _check_m(M)
     B = _enumerable_bits(M, B)
     words = sample_isotropic_unit(M, rng, size=1 << B)
-    return Codebook(M=M, B=B, words=words)
+    return Codebook(words=words)
 
 
 def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
@@ -90,7 +91,7 @@ def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
     cos2 = np.abs(np.einsum("km,m->k", codebook.words, h.conj())) ** 2 / norm2
     index = int(np.argmax(cos2))
     error_z = min(max(1.0 - float(cos2[index]), 0.0), 1.0)
-    return QuantizationOutcome(index=index, h_hat=codebook.words[index], error_z=error_z)
+    return QuantizationOutcome(h_hat=codebook.words[index], error_z=error_z)
 
 
 def error_ccdf(z, M: int, B: float):
@@ -102,7 +103,7 @@ def error_ccdf(z, M: int, B: float):
     _check_m(M)
     _check_bits(B)
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0) or np.any(z_arr > 1.0):
+    if not np.all((z_arr >= 0.0) & (z_arr <= 1.0)):
         raise DomainError("z must lie in [0, 1]")
     with np.errstate(divide="ignore", over="ignore"):
         out = np.exp(-np.exp(B * _LN2 + np.log(-np.log1p(-(z_arr ** (M - 1))))))
@@ -199,14 +200,7 @@ def expected_neg_log2_error(M: int, B: float) -> float:
     return LOG2E * harmonic / (M - 1.0)
 
 
-def neg_log2_error_bounds(M: int, B: float) -> tuple[float, float]:
-    """Sandwich B/(M-1) <= E[-log2 Z] <= (B + log2 e)/(M-1)."""
-    _check_m(M)
-    _check_bits(B)
-    return B / (M - 1.0), (B + LOG2E) / (M - 1.0)
-
-
-def sample_error(M: int, B: float, rng, size: int | None = None):
+def sample_error(M: int, B: float, rng, size: int) -> np.ndarray:
     """Draw Z by inverting the CCDF: Z = (1 - U^(2^-B))^(1/(M-1)).
 
     The inner factor is computed as -expm1(2^-B * ln U), which keeps
@@ -219,27 +213,24 @@ def sample_error(M: int, B: float, rng, size: int | None = None):
     u = draw_rows(rng, lambda gen: gen.random(size))
     with np.errstate(divide="ignore"):
         if B > 900.0:
-            z = np.exp(np.minimum((np.log(-np.log(u)) - B * _LN2) / (M - 1.0), 0.0))
-        else:
-            inner = -np.expm1((2.0 ** (-B)) * np.log(u))
-            z = inner ** (1.0 / (M - 1.0))
-    return float(z) if z.ndim == 0 else z
+            return np.exp(np.minimum((np.log(-np.log(u)) - B * _LN2) / (M - 1.0), 0.0))
+        inner = -np.expm1((2.0 ** (-B)) * np.log(u))
+        return inner ** (1.0 / (M - 1.0))
 
 
-def sample_quantized_pair(M: int, B: float, rng, size: int | None = None):
+def sample_quantized_pair(M: int, B: float, rng, size: int) -> tuple:
     """Draw (h_dir, h_hat, z) with the same joint law as quantizing an
     isotropic direction against a fresh random codebook.
 
-    Returns arrays of shape ``(size, M)`` (or single vectors when ``size``
-    is None), behind a leading axis for a list of generators.  Works for
-    any real B >= 0 since no codebook is enumerated.
+    Returns ``size`` draws: h_dir and h_hat of shape ``(size, M)`` and z of
+    shape ``(size,)``, behind a leading axis for a list of generators.
+    Works for any real B >= 0 since no codebook is enumerated.
     At M = 2 the nullspace of h_hat is one-dimensional and ``s`` reduces to
     the unique orthogonal direction carrying a uniform phase.
     """
-    n = 1 if size is None else size
-    h_hat = sample_isotropic_unit(M, rng, size=n)
-    z = sample_error(M, B, rng, size=n)
-    g = sample_complex_gaussian(M, rng, size=n)
+    h_hat = sample_isotropic_unit(M, rng, size=size)
+    z = sample_error(M, B, rng, size=size)
+    g = sample_complex_gaussian(M, rng, size=size)
 
     def residual(g):
         proj = np.einsum("...m,...m->...", h_hat.conj(), g)
@@ -249,31 +240,16 @@ def sample_quantized_pair(M: int, B: float, rng, size: int | None = None):
     perp, norms = residual(g)
     while np.any(norms == 0.0):  # probability-zero guard
         g = redraw_streams(rng, norms == 0.0, g,
-                           lambda streams: sample_complex_gaussian(M, streams, size=n))
+                           lambda streams: sample_complex_gaussian(M, streams, size=size))
         perp, norms = residual(g)
     s = perp / norms
     h_dir = np.sqrt(1.0 - z)[..., None] * h_hat + np.sqrt(z)[..., None] * s
-    if size is None:
-        z = z[..., 0]
-        return h_dir[..., 0, :], h_hat[..., 0, :], float(z) if z.ndim == 0 else z
     return h_dir, h_hat, z
 
 
-def optimal_error_cdf(z, M: int, B: float):
-    """CDF min(2^B z^(M-1), 1) of the error of an idealized quantizer whose
-    codewords never overlap; lower-bounds any realizable B-bit quantizer."""
-    _check_m(M)
-    _check_bits(B)
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0) or np.any(z_arr > 1.0):
-        raise DomainError("z must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        out = np.minimum(1.0, np.exp(B * _LN2 + (M - 1) * np.log(z_arr)))
-    return float(out) if np.isscalar(z) else out
-
-
 def expected_optimal_error(M: int, B: float) -> float:
-    """Mean error ((M-1)/M) * 2^(-B/(M-1)) of the idealized quantizer."""
+    """Mean error ((M-1)/M) * 2^(-B/(M-1)) of an idealized quantizer whose
+    codewords never overlap, which lower-bounds any B-bit quantizer."""
     _check_m(M)
     _check_bits(B)
     return (M - 1.0) / M * 2.0 ** (-B / (M - 1.0))

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import math
 import os
 
 import numpy as np
@@ -22,6 +23,14 @@ def angle_sin2(a: np.ndarray, b: np.ndarray) -> float:
         raise DomainError("angle_sin2 is undefined for zero vectors")
     cos2 = abs(np.vdot(a, b)) ** 2 / (na2 * nb2)
     return min(max(1.0 - cos2, 0.0), 1.0)
+
+
+def optimal_error_cdf(z, M: int, B: float):
+    """CDF min(2^B z^(M-1), 1) of the error of an idealized quantizer whose
+    codewords never overlap, for z in [0, 1]: the law whose mean is
+    quantizer.expected_optimal_error."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(1.0, np.exp(B * math.log(2.0) + (M - 1) * np.log(np.asarray(z, float))))
 
 
 def no_child_left() -> bool:

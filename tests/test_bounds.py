@@ -46,16 +46,16 @@ class TestScalingPolicy:
         np.testing.assert_allclose(p.bits(30.0, 4), 1.5 * 3.0 * LOG2_10, rtol=1e-12)
 
     def test_field_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            ScalingPolicy(kind="fixed_B")
-        with pytest.raises(DomainError):
-            ScalingPolicy(kind="exact_scaled", b_gap=1.0)
-        with pytest.raises(DomainError):
-            ScalingPolicy(kind="fixed_B", B_fixed=4, b_gap=2.0)
-        with pytest.raises(DomainError):
-            ScalingPolicy(kind="alpha_scaled", alpha=-1.0)
-        with pytest.raises(DomainError):
-            ScalingPolicy(kind="nonsense", B_fixed=4)
+        with pytest.raises(DomainError, match="integer B_fixed"):
+            ScalingPolicy(kind="fixed_B", value=4.5)
+        with pytest.raises(DomainError, match="b_gap > 1"):
+            ScalingPolicy(kind="exact_scaled", value=1.0)
+        with pytest.raises(DomainError, match="b_gap > 1"):
+            ScalingPolicy(kind="approx_3db_scaled", value=1.0)
+        with pytest.raises(DomainError, match="alpha >= 0"):
+            ScalingPolicy(kind="alpha_scaled", value=-1.0)
+        with pytest.raises(DomainError, match="unknown policy kind"):
+            ScalingPolicy(kind="nonsense", value=4)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, value):

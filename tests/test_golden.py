@@ -14,6 +14,11 @@ differences between machines, while a change to the RNG contract or to an
 estimator moves a mean by about one std_err.  A change that regenerates a
 file says which one and why in CHANGES.md.
 
+The files were made with numpy 2.4.6 (GOLDEN_NUMPY).  numpy promises no
+stream of variates across versions, so what the files pin is output
+bit-identical per (config, seed) on that numpy; every failure message, and
+--diff, names both versions.
+
     PYTHONPATH=src python tests/test_golden.py --diff
 
 reruns every golden output and prints, per file that differs, the number of
@@ -31,11 +36,14 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fbmimo.cli import FIGURE_IDS, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_NUMPY = "2.4.6"
+VERSIONS = f"golden files made with numpy {GOLDEN_NUMPY}, running numpy {np.__version__}"
 _QUANTIZED = ["--csit", "quantized", "--scaling", "fixed", "--path", "brute", "--snr", "0:10:20",
               "--trials", "40"]
 GOLDEN = {
@@ -110,16 +118,17 @@ def test_csv_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main([*GOLDEN[name], "--out", str(out)]) == 0
     got, want = _read(out), _read(GOLDEN_DIR / name)
-    assert got[0] == want[0]
-    assert len(got) == len(want)
+    assert got[0] == want[0], VERSIONS
+    assert len(got) == len(want), VERSIONS
     for got_row, want_row in zip(got[1:], want[1:]):
-        assert len(got_row) == len(want_row)
-        assert all(_same_cell(g, w) for g, w in zip(got_row, want_row)), (got_row, want_row)
+        assert len(got_row) == len(want_row), VERSIONS
+        assert all(_same_cell(g, w) for g, w in zip(got_row, want_row)), \
+            (got_row, want_row, VERSIONS)
 
 
 def test_validate_matches_golden(capsys):
     assert main(["validate", "bounds", "--trials", "100", "--seed", "42"]) == 0
-    assert capsys.readouterr().out == (GOLDEN_DIR / "validate_bounds.txt").read_text()
+    assert capsys.readouterr().out == (GOLDEN_DIR / "validate_bounds.txt").read_text(), VERSIONS
 
 
 def test_differences_are_counted_per_column():
@@ -136,4 +145,5 @@ if __name__ == "__main__":
     parser.add_argument("--diff", action="store_true", required=True,
                         help="print each golden file's differing cells, counted per column")
     parser.parse_args()
+    print(VERSIONS)
     print("\n".join(diff_golden()) or "every golden output matches")

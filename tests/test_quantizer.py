@@ -11,9 +11,8 @@ from fbmimo.numerics import LOG2E, RngStream, sample_complex_gaussian, sample_is
 from fbmimo.quantizer import (MAX_CODEBOOK_ENTRIES, Codebook, _digamma, _enumerable_bits,
                               error_ccdf, error_upper_bound, expected_error,
                               expected_neg_log2_error, expected_optimal_error,
-                              generate_codebook, neg_log2_error_bounds, optimal_error_cdf,
-                              quantize, sample_error, sample_quantized_pair)
-from helpers import angle_sin2
+                              generate_codebook, quantize, sample_error, sample_quantized_pair)
+from helpers import angle_sin2, optimal_error_cdf
 
 
 class TestCodebook:
@@ -40,16 +39,16 @@ class TestCodebook:
 
 class TestQuantize:
     def test_hand_case(self):
-        cb = Codebook(M=2, B=1, words=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
+        cb = Codebook(words=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
         out = quantize(np.array([0.8, 0.6]), cb)
-        assert out.index == 0
+        assert np.array_equal(out.h_hat, cb.words[0])
         np.testing.assert_allclose(out.error_z, 0.36, rtol=1e-12)
 
     def test_tie_resolves_to_lowest_index(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        cb = Codebook(M=2, B=1, words=w)
+        cb = Codebook(words=w)
         out = quantize(np.array([1.0, 1.0]) / math.sqrt(2), cb)
-        assert out.index == 0
+        assert np.array_equal(out.h_hat, w[0])
 
     def test_matches_exhaustive_angle_search(self):
         rng = RngStream(1, 0).generator()
@@ -58,7 +57,7 @@ class TestQuantize:
             h = sample_isotropic_unit(3, rng)
             out = quantize(h, cb)
             errors = [angle_sin2(h, w) for w in cb.words]
-            assert out.index == int(np.argmin(errors))
+            assert np.array_equal(out.h_hat, cb.words[int(np.argmin(errors))])
             np.testing.assert_allclose(out.error_z, min(errors), atol=1e-12)
 
     def test_matches_matrix_product_search(self):
@@ -70,7 +69,7 @@ class TestQuantize:
                 h = sample_complex_gaussian(M, rng)
                 cos2 = np.abs(cb.words @ h.conj()) ** 2 / np.real(np.vdot(h, h))
                 out = quantize(h, cb)
-                assert out.index == int(np.argmax(cos2))
+                assert np.array_equal(out.h_hat, cb.words[int(np.argmax(cos2))])
                 assert abs(out.error_z - (1.0 - cos2.max())) <= 1e-15
 
     def test_scale_invariant(self):
@@ -79,7 +78,7 @@ class TestQuantize:
         h = sample_isotropic_unit(4, rng)
         a = quantize(h, cb)
         b = quantize(h * (3.0 - 2.0j), cb)
-        assert a.index == b.index
+        assert np.array_equal(a.h_hat, b.h_hat)
         np.testing.assert_allclose(a.error_z, b.error_z, atol=1e-12)
 
     def test_zero_vector_raises(self):
@@ -182,7 +181,7 @@ class TestNegLog2Error:
         for M in (2, 3, 4, 6, 8):
             vals = []
             for B in (0, 1, 4, 10, 20, 30, 1023, 1024, 2000):
-                lo, hi = neg_log2_error_bounds(M, B)
+                lo, hi = B / (M - 1.0), (B + LOG2E) / (M - 1.0)
                 v = expected_neg_log2_error(M, B)
                 assert math.isfinite(v) and lo <= v <= hi
                 vals.append(v)
@@ -192,7 +191,7 @@ class TestNegLog2Error:
     @settings(max_examples=300, deadline=None)
     def test_sandwich_over_real_bits(self, M, B):
         # at B = 0 the upper bound is attained, so allow rounding there
-        lo, hi = neg_log2_error_bounds(M, B)
+        lo, hi = B / (M - 1.0), (B + LOG2E) / (M - 1.0)
         v = expected_neg_log2_error(M, B)
         assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
 
@@ -268,11 +267,6 @@ class TestSampleQuantizedPair:
         cos2 = np.abs(np.einsum("nm,nm->n", h_dir.conj(), h_hat)) ** 2
         np.testing.assert_allclose(1.0 - cos2, z, atol=1e-10)
 
-    def test_single_draw(self):
-        h_dir, h_hat, z = sample_quantized_pair(3, 4, RngStream(8, 0).generator())
-        assert h_dir.shape == (3,) and h_hat.shape == (3,)
-        np.testing.assert_allclose(angle_sin2(h_dir, h_hat), z, atol=1e-10)
-
     def test_two_antenna_orthogonal_residual(self):
         # at M=2 the residual direction is the unique orthogonal one
         h_dir, h_hat, z = sample_quantized_pair(2, 3, RngStream(9, 0).generator(), size=500)
@@ -299,7 +293,7 @@ class TestBruteForceSampler:
         rng = RngStream(0, 0).generator()
         with pytest.raises(error):
             generate_codebook(3, B, rng)
-        assert generate_codebook(3, 4.0, rng).B == 4
+        assert generate_codebook(3, 4.0, rng).words.shape == (16, 3)
 
     # the first size over M * 2^B <= 2^24 at each M; nothing is drawn, since
     # the check comes before the codebook's memory is asked for
@@ -341,7 +335,3 @@ class TestOptimalQuantizer:
         for M in (2, 3, 5, 8):
             for B in (0, 1, 4, 10, 16):
                 assert expected_optimal_error(M, B) <= expected_error(M, B) + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            optimal_error_cdf(-0.2, 3, 4)

@@ -631,7 +631,7 @@ def _one_miso(gen, cfg, P, B):
         z = quantize(h, generate_codebook(cfg.M, B, gen)).error_z
         mag2 = float(np.real(np.vdot(h, h)))
     else:
-        z = sample_quantized_pair(cfg.M, B, gen)[2]
+        z = sample_quantized_pair(cfg.M, B, gen, size=1)[2][0]
         mag2 = float(gen.gamma(cfg.M, 1.0))
     return math.log2(1.0 + P * mag2 * (1.0 - z))
 
