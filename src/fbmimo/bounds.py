@@ -76,6 +76,7 @@ class ScalingPolicy:
             return feedback_bits(snr_db, M, self.value, mode="exact")
         if self.kind == APPROX_3DB_SCALED:
             return feedback_bits(snr_db, M, self.value, mode="approx_3")
+        _check_point(snr_db, M)
         return max(0.0, self.value * snr_db * LOG2_10 / 10.0)
 
     def describe(self) -> str:
@@ -166,6 +167,13 @@ def ceiling_fixed_B(M: int, B: int) -> tuple[float, float]:
     return loose, exact
 
 
+def _check_point(snr_db: float, M: int) -> None:
+    """The operating point of a scaled bit count: M >= 2 and a number of dB."""
+    _check_m(M)
+    if math.isnan(snr_db):
+        raise DomainError(f"snr_db must be a number, got {snr_db}")
+
+
 def feedback_bits(snr_db: float, M: int, b: float, mode: str = "exact") -> float:
     """Bits needed to hold the ZF power gap at 10*log10(b) dB.
 
@@ -175,9 +183,7 @@ def feedback_bits(snr_db: float, M: int, b: float, mode: str = "exact") -> float
     """
     if not b > 1.0:
         raise DomainError(f"b must be > 1, got {b}")
-    _check_m(M)
-    if math.isnan(snr_db):
-        raise DomainError(f"snr_db must be a number, got {snr_db}")
+    _check_point(snr_db, M)
     if mode == "exact":
         bits = (M - 1.0) * (snr_db * LOG2_10 / 10.0 - math.log2(b - 1.0))
     elif mode == "approx_3":

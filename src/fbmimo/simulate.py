@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import (ScalingPolicy, ThroughputCurve, random_bf_sum_rate, unitary_sum_rate,
-                     zf_perfect_sum_rate)
+from .bounds import (ScalingPolicy, ThroughputCurve, _ergodic_rate, random_bf_sum_rate,
+                     unitary_sum_rate, zf_perfect_sum_rate)
 from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -261,16 +261,31 @@ def _beams(cfg: SimConfig, P: float, directions: np.ndarray) -> np.ndarray:
     return zf_beamformers(G) if cfg.precoder == ZF else rzf_beamformers(G, P)
 
 
+def _zf_rate(H: np.ndarray, P: float) -> np.ndarray:
+    """R_zf, the perfect-CSIT ZF sum rates on H."""
+    return _sum_rate(H, zf_beamformers(H.conj()), P)
+
+
+def _gain_rate(cfg: SimConfig, P: float, mag2: np.ndarray) -> np.ndarray:
+    """D = sum_i log2(1 + (P/M) ||h_i||^2), from each user's ||h_i||^2."""
+    return np.log2(1.0 + (P / cfg.M) * mag2).sum(axis=-1)
+
+
 def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> np.ndarray:
-    """Perfect-CSIT sum rates."""
-    return _sum_rate(H, _beams(cfg, P, H), P)
+    """Perfect-CSIT sum rates; under RZF with R_zf and D on the same H,
+    shape (trials, 3).  See mu_throughput."""
+    rate = _sum_rate(H, _beams(cfg, P, H), P)
+    if cfg.precoder == ZF:
+        return rate
+    return np.stack([rate, _zf_rate(H, P), _gain_rate(cfg, P, _vdot_rows(H, H).real)], axis=-1)
 
 
 def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
                      mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Quantized-CSIT sum rates, S and, where B > 0, C1' on the ZF beams of
-    h_hat, else the rate on the polar factor of the rate's beams: shape
-    (trials, 3).  See mu_throughput."""
+    """Quantized-CSIT sum rates, S, where B > 0 C1' on the ZF beams of
+    h_hat, else the rate on the polar factor of the rate's beams, D and,
+    under ZF, R_zf: shape (trials, 5) for ZF, (trials, 4) for RZF.  See
+    mu_throughput."""
     G = h_hat.conj()
     zf = zf_beamformers(G) if cfg.precoder == ZF or B > 0 else None
     beams = zf if cfg.precoder == ZF else rzf_beamformers(G, P)
@@ -280,19 +295,29 @@ def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: n
                                                       + gain.imag * gain.imag)).sum(axis=-1)
     else:
         second = _sum_rate(H, _nearest_unitary(beams), P)
-    return np.stack([_sum_rate(H, beams, P), z.sum(axis=-1), second], axis=-1)
+    columns = [_sum_rate(H, beams, P), z.sum(axis=-1), second, _gain_rate(cfg, P, mag2)]
+    if cfg.precoder == ZF:
+        columns.append(_zf_rate(H, P))
+    return np.stack(columns, axis=-1)
 
 
 def _gap_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
                mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per-user perfect-CSIT minus quantized sum rate on one shared channel draw."""
-    return (_mu_rates(cfg, P, B, H) - _sum_rate(H, _beams(cfg, P, h_hat), P)) / cfg.M
+    """Per-user perfect-CSIT minus quantized sum rate on one shared channel
+    draw, then the perfect arm R_perf and the quantized arm's S, C1' or
+    polar rate, and D: shape (trials, 5).  Under ZF, R_perf is the quantized
+    arm's R_zf."""
+    rate, *controls = np.moveaxis(_quantized_rates(cfg, P, B, H, h_hat, mag2, z), -1, 0)
+    perfect = controls.pop() if cfg.precoder == ZF else _sum_rate(H, _beams(cfg, P, H), P)
+    return np.stack([(perfect - rate) / cfg.M, perfect, *controls], axis=-1)
 
 
 def _miso_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
                 mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The one user's rate on a beam along its quantized direction."""
-    return _log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0]))
+    """The one user's rate on a beam along its quantized direction, and
+    log2(1 + P ||h||^2), the rate on a beam along h itself: shape (trials, 2)."""
+    return np.stack([_log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0])),
+                     np.log2(1.0 + P * mag2[:, 0])], axis=-1)
 
 
 def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> np.ndarray:
@@ -394,6 +419,18 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
         b_bits=np.array(bits), resamples=np.array(resamples))
 
 
+def _gain_mean(cfg: SimConfig, P: float) -> float:
+    """The exact mean of D: K E[log2(1 + (P/M) Gamma(M, 1))]."""
+    return cfg.K * _ergodic_rate(P / cfg.M, cfg.M)
+
+
+def _quantized_means(cfg: SimConfig, P: float, B: float) -> tuple:
+    """The exact means of a quantized point's S, C1' or polar rate, and D."""
+    return (cfg.K * expected_error(cfg.M, B),
+            zf_perfect_sum_rate(P, cfg.M) if B > 0 else unitary_sum_rate(P, cfg.M),
+            _gain_mean(cfg, P))
+
+
 def _require_square(cfg: SimConfig) -> None:
     if cfg.K != cfg.M:
         raise ConfigError(f"multiuser engine requires K == M, got K={cfg.K}, M={cfg.M}")
@@ -404,11 +441,12 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     downlink under the configured precoder and CSIT model.
 
     Quantized-CSIT points are control-variate (regression) estimates on
-    two controls computed on each trial's own draw, both with exact means.
-    The first is S = sum_i Z_i, the users' quantization errors as drawn,
-    with mean K * quantizer.expected_error(M, B) at the point's resolved
-    bits B (on the brute path, B rounded up), since both paths draw each
-    Z_i from the random-codebook law.  The second depends on B:
+    controls computed on each trial's own draw, all with exact means:
+    S, C1' or the polar rate, D and, under ZF, R_zf.  S = sum_i Z_i, the
+    users' quantization errors as drawn, has mean
+    K * quantizer.expected_error(M, B) at the point's resolved bits B (on
+    the brute path, B rounded up), since both paths draw each Z_i from the
+    random-codebook law.  The second control depends on B:
 
     - B > 0: C1' = sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
       ZF beams v_i of the quantized directions.  The h_hat_i are iid
@@ -425,16 +463,27 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
       column is Exp(1) and on the others Gamma(M - 1, 1), independently;
       the mean is bounds.unitary_sum_rate(P, M).
 
-    Perfect-CSIT points are plain means.
+    D = sum_i log2(1 + (P/M) ||h_i||^2) reads only the drawn channel gains,
+    each Gamma(M, 1), so its mean is K E[log2(1 + (P/M) Gamma(M, 1))].
+    R_zf, the perfect-CSIT ZF sum rate on the trial's own H, has mean
+    bounds.zf_perfect_sum_rate(P, M); it inverts H, so a quantized-ZF
+    point redraws a trial whose H or quantized directions are singular,
+    as rate_gap does.  RZF points go without R_zf, which would cost a ZF
+    build of H for little (1.0-1.25x).
+
+    Perfect-CSIT ZF points are plain means; perfect-CSIT RZF points use
+    R_zf and D, and so redraw the trials perfect-CSIT ZF redraws.
     """
     _require_square(cfg)
     if cfg.policy is None:
-        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _perfect_draw, _mu_rates)
+        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _perfect_draw, _mu_rates,
+                      control=lambda P, B: (() if cfg.precoder == ZF else
+                                            (zf_perfect_sum_rate(P, cfg.M), _gain_mean(cfg, P))))
     return _curve(cfg, label or f"{cfg.precoder.lower()}_quantized", _quantized_draw,
                   _quantized_rates,
-                  control=lambda P, B: (cfg.K * expected_error(cfg.M, B),
-                                        zf_perfect_sum_rate(P, cfg.M) if B > 0
-                                        else unitary_sum_rate(P, cfg.M)))
+                  control=lambda P, B: (*_quantized_means(cfg, P, B),
+                                        *((zf_perfect_sum_rate(P, cfg.M),)
+                                          if cfg.precoder == ZF else ())))
 
 
 def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
@@ -442,22 +491,35 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
 
     Both arms of every trial share one channel and quantization draw
     (common random numbers), so the gap estimate is far less noisy than
-    differencing two independent sweeps.
+    differencing two independent sweeps.  Points are control-variate
+    (regression) estimates on the quantized arm's S, C1' or polar rate and
+    D (see mu_throughput) and, under ZF, on the perfect arm R_perf itself,
+    with mean bounds.zf_perfect_sum_rate(P, M); the RZF perfect arm has no
+    exact mean and is no control.  Both arms' builds can be singular under
+    ZF, and an RZF point with B > 0 builds ZF beams of h_hat for C1', so
+    the trials redrawn are those of quantized ZF, or of quantized RZF.
     """
     _require_square(cfg)
     if cfg.policy is None:
         raise ConfigError("rate_gap compares quantized with perfect CSIT; give a feedback policy")
-    return _curve(cfg, label, _quantized_draw, _gap_rates)
+    return _curve(cfg, label, _quantized_draw, _gap_rates,
+                  control=lambda P, B: (zf_perfect_sum_rate(P, cfg.M) if cfg.precoder == ZF
+                                        else None, *_quantized_means(cfg, P, B)))
 
 
 def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -> ThroughputCurve:
     """Single-user beamforming rate E[log2(1 + P ||h||^2 cos^2(angle))]
-    when the transmitter steers along the quantized direction."""
+    when the transmitter steers along the quantized direction.
+
+    Points are control-variate (regression) estimates on the perfect-CSIT
+    beamforming rate log2(1 + P ||h||^2) of the same draw, whose mean is
+    bounds.miso_reference(P, M, B).c_csit."""
     if cfg.K != 1:
         raise ConfigError(f"miso engine requires K == 1, got K={cfg.K}")
     if cfg.policy is None:
         raise ConfigError("miso engine models quantized feedback; give a feedback policy")
-    return _curve(cfg, label, _quantized_draw, _miso_rates, precoder="BF")
+    return _curve(cfg, label, _quantized_draw, _miso_rates, precoder="BF",
+                  control=lambda P, B: (_ergodic_rate(P, cfg.M),))
 
 
 def tdma_throughput(cfg: SimConfig, label: str = "tdma") -> ThroughputCurve:

@@ -57,6 +57,18 @@ class TestScalingPolicy:
         with pytest.raises(DomainError, match="unknown policy kind"):
             ScalingPolicy(kind="nonsense", value=4)
 
+    @pytest.mark.parametrize("make", [ScalingPolicy.exact_scaled, ScalingPolicy.approx_3db,
+                                      ScalingPolicy.alpha_scaled])
+    def test_scaled_bits_reject_a_bad_operating_point(self, make):
+        # every scaled kind checks its point alike; alpha once gave 0.0 bits
+        # for a NaN SNR and 3.32 bits at M = 1
+        p = make(2.0)
+        with pytest.raises(DomainError, match="snr_db must be a number"):
+            p.bits(math.nan, 4)
+        with pytest.raises(DomainError, match="M must be >= 2"):
+            p.bits(10.0, 1)
+        assert p.bits(-10.0, 4) == 0.0 and p.bits(30.0, 4) > 0.0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, value):
         # NaN passes every comparison-based check and would run with 0 bits

@@ -8,8 +8,8 @@ from scipy import integrate, stats
 
 from fbmimo import numerics, shares
 from fbmimo import simulate as sim
-from fbmimo.bounds import (ScalingPolicy, random_bf_sum_rate, unitary_sum_rate,
-                           zf_perfect_sum_rate)
+from fbmimo.bounds import (ScalingPolicy, miso_reference, random_bf_sum_rate,
+                           unitary_sum_rate, zf_perfect_sum_rate)
 from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
@@ -315,14 +315,17 @@ class TestErrorBars:
 
 
 class TestControlVariate:
-    """Quantized-CSIT and random-beamforming points are regression
-    estimates on control variates computed on each trial's own draw, with
-    exact means.  Quantized CSIT uses two: the users' summed quantization
-    errors S, and, where B > 0, the rate the quantized ZF beams would give
-    if each channel lay along its quantized direction (the law of the
+    """Every simulated point but perfect-CSIT ZF and TDMA is a regression
+    estimate on control variates computed on each trial's own draw, with
+    exact means.  Quantized CSIT uses the users' summed quantization
+    errors S; where B > 0, the rate the quantized ZF beams would give if
+    each channel lay along its quantized direction (the law of the
     perfect-CSIT ZF rate), or at B = 0 the rate on the unitary nearest the
-    rate's own beams.  Random beamforming uses the sum of every beam's
-    best-user rate."""
+    rate's own beams; D, the users' rates on their own channel gains at
+    P/M; and under ZF R_zf, the perfect-CSIT ZF rate on the same H.  Rate
+    gaps use the quantized arm's controls and, under ZF, the perfect arm;
+    perfect-CSIT RZF uses R_zf and D; miso the perfect-CSIT beamforming
+    rate; random beamforming the sum of every beam's best-user rate."""
 
     @staticmethod
     def _least_squares(rates, controls, control_means):
@@ -399,14 +402,18 @@ class TestControlVariate:
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 1.5
 
     def test_brute_variance_cut_at_ten_db(self):
-        # brute_codebook's point (M=4, B=10, 10 dB); bound fixed before the
-        # first run: more than 5x (7.55x measured with seed 5)
+        # brute_codebook's point (M=4, B=10, 10 dB); bounds fixed before the
+        # first run: more than 5x over the plain mean (7.55x measured with
+        # seed 5, before D and R_zf), and D and R_zf more than 1.4x over
+        # [S, C1'] alone
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), path=BRUTE_FORCE, trials=3000)
-        rates, _ = sim._trials(cfg.trials, cfg.seed,
-                               lambda gens: sim._quantized_draw(gens, cfg, 10.0),
-                               _quantized_rate(cfg, 10.0))
-        plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
-        assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 5.0
+        columns = np.ascontiguousarray(self._quantized_columns(cfg, 10.0, 10.0).T)
+        plain_err = columns[0].std(ddof=1) / math.sqrt(cfg.trials)
+        err = mu_throughput(cfg).std_err[0]
+        assert (plain_err / err) ** 2 > 5.0
+        means = sim._quantized_means(cfg, 10.0, 10.0)[:2]
+        two_err = sim._regression_estimate(columns[0], columns[1:], (*means, None, None))[1]
+        assert (two_err / err) ** 2 > 1.4
 
     @staticmethod
     def _quantized_columns(cfg, B, P):
@@ -521,33 +528,54 @@ class TestControlVariate:
         err = control.std(ddof=1) / math.sqrt(cfg.trials)
         assert abs(control.mean() - random_bf_sum_rate(P, M, K)) <= 4.0 * err
 
-    @pytest.mark.parametrize("overrides", [
-        dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10)),
-        dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF),
-        dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10), precoder=RZF),
-        dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0)),
-        dict(snr_grid_db=(10.0,), policy=None)],
-        ids=["zf", "rzf", "rzf_b10", "zf_b0", "random_bf"])
-    def test_std_err_coverage(self, overrides):
-        # [S, C1'] on ZF and RZF at B = 10, [S, polar] on both at B = 0,
-        # and random beamforming's one control.  Bounds fixed before the
-        # first run: the estimate's distance to a long plain-MC reference,
-        # over the hypot of both std_errs, is about t(299 - k); 60 seeds
-        # cover within 3 sigma with p = 0.9971 and within 1 sigma with
-        # p = 0.682, so P(3-sigma hits < 57) = 3e-5 and P(1-sigma hits
-        # outside 30..52) = 1.4e-3.
-        cfg = _cfg(M=4, K=4, trials=300, **overrides)
+    @pytest.mark.parametrize("engine, overrides", [
+        ("mu", dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10))),
+        ("mu", dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF)),
+        ("mu", dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(10), precoder=RZF)),
+        ("mu", dict(snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0))),
+        ("random_bf", dict(snr_grid_db=(10.0,), policy=None)),
+        ("gap", dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(8))),
+        ("gap", dict(snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(8), precoder=RZF)),
+        ("mu", dict(snr_grid_db=(10.0,), policy=None, precoder=RZF)),
+        ("miso", dict(K=1, snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(4))),
+        # mux4x4's alpha = 3.9 curve at 40 dB, B = 51.8: the rate and its
+        # four controls are nearly collinear there
+        ("mu", dict(snr_grid_db=(40.0,), policy=ScalingPolicy.alpha_scaled(3.9)))],
+        ids=["zf", "rzf", "rzf_b10", "zf_b0", "random_bf", "zf_gap", "rzf_gap", "rzf_perfect",
+             "miso", "zf_alpha3.9_40db"])
+    def test_std_err_coverage(self, engine, overrides):
+        # [S, C1', D, R_zf] on ZF and [S, C1', D] on RZF at B = 10, the
+        # same with the polar rate at B = 0, random beamforming's one
+        # control, the gaps' [R_perf, S, C1', D] (R_perf under ZF only),
+        # rzf_perfect's [R_zf, D] and miso's log2(1 + P ||h||^2).  Bounds
+        # fixed before the first run: the estimate's distance to a long
+        # plain-MC reference, over the hypot of both std_errs, is about
+        # t(299 - k); 60 seeds cover within 3 sigma with p = 0.9971 and
+        # within 1 sigma with p = 0.682, so P(3-sigma hits < 57) = 3e-5 and
+        # P(1-sigma hits outside 30..52) = 1.4e-3.
+        cfg = _cfg(**{**dict(M=4, K=4, trials=300), **overrides})
         (snr_db,) = cfg.snr_grid_db
         P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
-        if cfg.policy is None:  # the random-beamforming baseline
-            engine, draw = random_bf_throughput, sim._random_bf_draw
-            rates = lambda *arrays: sim._random_bf_rates(cfg, P, B, *arrays)[:, 0]
-        else:
-            engine, draw = mu_throughput, sim._quantized_draw
-            rates = _quantized_rate(cfg, P)
+        engine, draw, evaluate = {
+            "random_bf": (random_bf_throughput, sim._random_bf_draw, sim._random_bf_rates),
+            "gap": (rate_gap, sim._quantized_draw, sim._gap_rates),
+            "miso": (miso_feedback_throughput, sim._quantized_draw, sim._miso_rates),
+            "mu": (mu_throughput, *((sim._perfect_draw, sim._mu_rates) if cfg.policy is None
+                                    else (sim._quantized_draw, sim._quantized_rates))),
+        }[engine]
+        # At the large-B point the controls cut the variance ~4,500x, so a
+        # plain reference would be less precise than the estimates it
+        # checks.  There the reference is the plain mean of rate - C1' (a
+        # fixed coefficient, ~2,300x) plus C1''s exact mean.
+        differenced = B > 30.0
+
+        def rates(*arrays):
+            rows = evaluate(cfg, P, B, *arrays)
+            return rows[:, 0] - rows[:, 2] if differenced else rows[:, 0]
+
         ref_trials = 60_000
         reference, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B), rates)
-        want = reference.mean()
+        want = reference.mean() + (zf_perfect_sum_rate(P, cfg.M) if differenced else 0.0)
         want_err = reference.std(ddof=1) / math.sqrt(ref_trials)
         within = []
         for seed in range(60):
@@ -590,21 +618,34 @@ def _one_sum_rate(H, vectors, P):
     return float(np.log2(1.0 + signal / (1.0 + interference)).sum())
 
 
+def _one_zf_rate(H, P):
+    # R_zf: the perfect-CSIT ZF rate on H
+    return _one_sum_rate(H, zf_beamformers(H.conj()), P)
+
+
+def _one_gain_rate(mag2, cfg, P):
+    # D = sum_i log2(1 + (P/M) ||h_i||^2)
+    return float(np.log2(1.0 + P / cfg.M * mag2).sum())
+
+
 def _one_mu(gen, cfg, P, B):
+    # the rate; perfect-CSIT RZF also gives its controls R_zf and D
     if cfg.policy is None:
         H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
-        G = H.conj()
-    else:
-        H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)[:2]
-        G = h_hat.conj()
-    return _one_sum_rate(H, _one_beams(G, cfg.precoder, P), P)
+        rate = _one_sum_rate(H, _one_beams(H.conj(), cfg.precoder, P), P)
+        if cfg.precoder == ZF:
+            return rate
+        mag2 = np.array([np.vdot(H[i], H[i]).real for i in range(cfg.K)])
+        return rate, _one_zf_rate(H, P), _one_gain_rate(mag2, cfg, P)
+    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)[:2]
+    return _one_sum_rate(H, _one_beams(h_hat.conj(), cfg.precoder, P), P)
 
 
-def _one_quantized_and_controls(gen, cfg, P, B):
-    # quantized CSIT's rate, the users' summed errors S, and where B > 0
+def _one_quantized_arm(gen, cfg, P, B):
+    # H, then quantized CSIT's rate, the users' summed errors S, where B > 0
     # the control sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
     # ZF beams v_i of h_hat, at B = 0 the rate on the polar factor U V^H of
-    # the rate's beams
+    # the rate's beams, and D
     H, h_hat, mag2, z = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
     beams = _one_beams(h_hat.conj(), cfg.precoder, P)
     if B > 0:
@@ -615,17 +656,24 @@ def _one_quantized_and_controls(gen, cfg, P, B):
     else:
         u, _, vh = np.linalg.svd(beams)
         second = _one_sum_rate(H, u @ vh, P)
-    return _one_sum_rate(H, beams, P), float(z.sum()), second
+    return H, _one_sum_rate(H, beams, P), float(z.sum()), second, _one_gain_rate(mag2, cfg, P)
+
+
+def _one_quantized_and_controls(gen, cfg, P, B):
+    # the quantized arm's rate and controls, and under ZF R_zf
+    H, *rates = _one_quantized_arm(gen, cfg, P, B)
+    return (*rates, _one_zf_rate(H, P)) if cfg.precoder == ZF else tuple(rates)
 
 
 def _one_gap(gen, cfg, P, B):
-    H, h_hat = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)[:2]
-    perfect = _one_beams(H.conj(), cfg.precoder, P)
-    fb = _one_beams(h_hat.conj(), cfg.precoder, P)
-    return (_one_sum_rate(H, perfect, P) - _one_sum_rate(H, fb, P)) / cfg.M
+    # the per-user gap, the perfect arm, and the quantized arm's controls
+    H, rate, *controls = _one_quantized_arm(gen, cfg, P, B)
+    perfect = _one_sum_rate(H, _one_beams(H.conj(), cfg.precoder, P), P)
+    return ((perfect - rate) / cfg.M, perfect, *controls)
 
 
 def _one_miso(gen, cfg, P, B):
+    # the rate on the quantized direction, and the control log2(1 + P ||h||^2)
     if cfg.path == BRUTE_FORCE:
         h = sample_complex_gaussian(cfg.M, gen)
         z = quantize(h, generate_codebook(cfg.M, B, gen)).error_z
@@ -633,7 +681,7 @@ def _one_miso(gen, cfg, P, B):
     else:
         z = sample_quantized_pair(cfg.M, B, gen, size=1)[2][0]
         mag2 = float(gen.gamma(cfg.M, 1.0))
-    return math.log2(1.0 + P * mag2 * (1.0 - z))
+    return math.log2(1.0 + P * mag2 * (1.0 - z)), float(np.log2(np.array([1.0 + P * mag2]))[0])
 
 
 def _one_tdma(gen, cfg, P, B):
@@ -658,11 +706,23 @@ def _one_random_bf(gen, cfg, P, B):
     return rate, float(np.log2(1.0 + sinr_table.max(axis=0)).sum())
 
 
+def _quantized_arm_means(cfg, P, B):
+    # S, C1' or the polar rate, and D, whose mean is miso's no-CSIT rate per user
+    return (cfg.K * expected_error(cfg.M, B),
+            zf_perfect_sum_rate(P, cfg.M) if B > 0 else unitary_sum_rate(P, cfg.M),
+            cfg.K * miso_reference(P, cfg.M, 0.0).c_nocsit)
+
+
 # the exact means of each oracle's control variates
 _CONTROL_MEANS = {
+    _one_mu: lambda cfg, P, B: (zf_perfect_sum_rate(P, cfg.M),
+                                cfg.K * miso_reference(P, cfg.M, 0.0).c_nocsit),
     _one_quantized_and_controls: lambda cfg, P, B: (
-        cfg.K * expected_error(cfg.M, B),
-        zf_perfect_sum_rate(P, cfg.M) if B > 0 else unitary_sum_rate(P, cfg.M)),
+        *_quantized_arm_means(cfg, P, B),
+        *((zf_perfect_sum_rate(P, cfg.M),) if cfg.precoder == ZF else ())),
+    _one_gap: lambda cfg, P, B: (zf_perfect_sum_rate(P, cfg.M) if cfg.precoder == ZF else None,
+                                 *_quantized_arm_means(cfg, P, B)),
+    _one_miso: lambda cfg, P, B: (miso_reference(P, cfg.M, B).c_csit,),
     _one_random_bf: lambda cfg, P, B: (random_bf_sum_rate(P, cfg.M, cfg.K),),
 }
 
@@ -701,6 +761,10 @@ _ORACLE_CASES = {
                                              precoder=RZF)),
     "rate_gap": (sim.rate_gap, _one_gap, sim._quantized_draw, sim._gap_rates,
                  dict(policy=_SCALED_BITS)),
+    "rate_gap_rzf": (sim.rate_gap, _one_gap, sim._quantized_draw, sim._gap_rates,
+                     dict(policy=_SCALED_BITS, precoder=RZF)),
+    "rate_gap_brute": (sim.rate_gap, _one_gap, sim._quantized_draw, sim._gap_rates,
+                       dict(policy=_BRUTE_BITS, path=BRUTE_FORCE)),
     "miso_fast": (sim.miso_feedback_throughput, _one_miso, sim._quantized_draw,
                   sim._miso_rates, dict(K=1, policy=_SCALED_BITS)),
     "miso_brute": (sim.miso_feedback_throughput, _one_miso, sim._quantized_draw,
@@ -744,27 +808,50 @@ class TestStackedEnginesMatchOneTrialAtATime:
     def test_rates_equal(self, case, monkeypatch):
         self._check(case, monkeypatch, block=16)  # 45 trials: blocks of 16, 16 and 13
 
-    @pytest.mark.parametrize("case", ["zf_perfect", "zf_fast", "zf_brute", "rzf_fast",
-                                      "rzf_brute", "rate_gap"])
+    @staticmethod
+    def _values(evaluate, cfg, snr_db):
+        # per-trial rows of an evaluate at one point, and the draws it discarded
+        P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
+        draw = sim._perfect_draw if cfg.policy is None else sim._quantized_draw
+        return sim._trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
+                           lambda *arrays: evaluate(cfg, P, B, *arrays))
+
+    @pytest.mark.parametrize("case", ["zf_perfect", "rzf_perfect", "zf_fast", "zf_brute",
+                                      "rzf_fast", "rzf_brute", "rate_gap", "rate_gap_rzf",
+                                      "rate_gap_brute"])
     def test_forced_singular_matrices(self, case, monkeypatch):
         # flag every matrix whose top-left entry is small: a deterministic
         # subset, redrawn from the flagged trial's own stream in both engines
         monkeypatch.setattr(numerics, "_ill_conditioned", lambda a, inv: np.abs(a[..., 0, 0]) < 0.3)
         curve, cfg = self._check(case, monkeypatch, block=16)
         assert curve.resamples.sum() > 0
-        if case in ("zf_fast", "zf_brute"):  # the controls add no inverse, so no redraws
+        if case in ("zf_fast", "zf_brute"):
+            # R_zf inverts H as well as h_hat, so quantized ZF redraws
+            # exactly the trials ZF rate_gap redraws, more than h_hat alone
+            quantized_only = 0
             for j, snr_db in enumerate(cfg.snr_grid_db):
-                B = sim._resolve_bits(cfg, snr_db)
-                _, quantized_only = sim._trials(
-                    cfg.trials, cfg.seed, lambda gens: sim._quantized_draw(gens, cfg, B),
-                    _quantized_rate(cfg, 1.0))
-                assert curve.resamples[j] == quantized_only
-        if case in ("rzf_fast", "rzf_brute"):
+                rows, discarded = self._values(sim._quantized_rates, cfg, snr_db)
+                gap, gap_discarded = self._values(sim._gap_rates, cfg, snr_db)
+                assert curve.resamples[j] == discarded == gap_discarded
+                np.testing.assert_array_equal((rows[:, 4] - rows[:, 0]) / cfg.M, gap[:, 0])
+                quantized_only += self._values(lambda cfg, P, B, *arrays:
+                                               _quantized_rate(cfg, P)(*arrays), cfg, snr_db)[1]
+            assert curve.resamples.sum() > quantized_only
+        if case == "rzf_perfect":
+            # R_zf inverts H, so rzf_perfect redraws exactly zf_perfect's trials
+            zf = dataclasses.replace(cfg, precoder=ZF)
+            assert curve.resamples.tolist() == sim.mu_throughput(zf).resamples.tolist()
+            for snr_db in cfg.snr_grid_db:
+                np.testing.assert_array_equal(self._values(sim._mu_rates, cfg, snr_db)[0][:, 1],
+                                              self._values(sim._mu_rates, zf, snr_db)[0])
+        if case in ("rzf_fast", "rzf_brute", "rate_gap_rzf"):
             # RZF inverts nothing at B = 0; at B > 0 C1''s ZF build of h_hat
-            # redraws exactly the trials that quantized ZF redraws
-            zf = sim.mu_throughput(dataclasses.replace(cfg, precoder=ZF))
+            # redraws exactly the trials that a ZF build of h_hat alone redraws
+            zf = dataclasses.replace(cfg, precoder=ZF)
+            h_hat_only = self._values(lambda cfg, P, B, *arrays: _quantized_rate(zf, P)(*arrays),
+                                      cfg, cfg.snr_grid_db[1])[1]
             assert curve.b_bits[0] == 0 and curve.b_bits[1] > 0
-            assert curve.resamples[0] == 0 and curve.resamples[1] == zf.resamples[1] > 0
+            assert curve.resamples[0] == 0 and curve.resamples[1] == h_hat_only > 0
 
 
 class TestWorkerCount:
