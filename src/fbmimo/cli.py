@@ -410,27 +410,6 @@ def _run_validate(spec: ExperimentSpec) -> int:
     return 0 if ok else 1
 
 
-def run(spec: ExperimentSpec) -> int:
-    """Execute a resolved spec; returns a process exit code."""
-    try:
-        if spec.command == "figure":
-            return _run_figure(spec)
-        if spec.command == "sweep":
-            return _run_sweep(spec)
-        if spec.command == "table":
-            return _run_table(spec)
-        return _run_validate(spec)
-    except (ConfigError, CapacityError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except ResampleLimitError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return 4
-
-
 # field -> add_argument keywords: a command's positional, or the option
 # --name with '_' written '-'
 _OPTIONS = {
@@ -455,13 +434,16 @@ _OPTIONS = {
 
 _RUN_OPTIONS = ("trials", "seed", "out", "snr", "path")
 
-# command -> (positional field or None, the options it reads, help)
+# command -> (positional field or None, the options it reads, help, runner)
 _COMMANDS = {
-    "figure": ("figure_id", _RUN_OPTIONS, "run a named experiment preset"),
+    "figure": ("figure_id", _RUN_OPTIONS, "run a named experiment preset", _run_figure),
     "sweep": (None, _RUN_OPTIONS + ("engine", "M", "K", "csit", "precoder", "scaling", "B",
-                                    "b_gap", "alpha"), "run a single configurable curve"),
-    "table": ("table_kind", ("out", "M", "B"), "tabulate closed-form quantizer statistics"),
-    "validate": ("validate_target", ("trials", "seed"), "check analytic bounds against simulation"),
+                                    "b_gap", "alpha"), "run a single configurable curve",
+              _run_sweep),
+    "table": ("table_kind", ("out", "M", "B"), "tabulate closed-form quantizer statistics",
+              _run_table),
+    "validate": ("validate_target", ("trials", "seed"),
+                 "check analytic bounds against simulation", _run_validate),
 }
 
 
@@ -508,7 +490,7 @@ def build_spec(file_values: dict, flag_values: dict) -> ExperimentSpec:
     command = str(command)
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    positional, options, _ = _COMMANDS[command]
+    positional, options = _COMMANDS[command][:2]
     values = {"command": command}
     for key, value in file_values.items():
         if key == "command" or value is None:
@@ -535,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fbmimo",
         description="Throughput experiments for quantized-feedback multiuser MIMO downlinks")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (positional, options, help_text) in _COMMANDS.items():
+    for name, (positional, options, help_text, _) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text)
         if positional:
             p.add_argument(positional, **_OPTIONS[positional])
@@ -566,13 +548,16 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     try:
         spec = build_spec(_load_config(args.pop("config")), args)
-    except ConfigError as exc:
+        return _COMMANDS[spec.command][3](spec)
+    except (ConfigError, CapacityError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    return run(spec)
+    except ResampleLimitError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

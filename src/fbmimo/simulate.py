@@ -180,15 +180,15 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _resampled(gens: list, draw, evaluate) -> tuple[np.ndarray, int]:
-    """evaluate(*draw(gens)), one value per trial, where a trial whose
-    beamformer build is singular draws afresh from its own stream.  Returns
-    the values and the number of discarded draws."""
+def _resampled(gens: list, draw, evaluate) -> tuple[np.ndarray, tuple, int]:
+    """evaluate(*draw(gens)), where a trial whose beamformer build is
+    singular draws afresh from its own stream: the per-trial rows, their
+    controls' exact means and the number of discarded draws."""
     draws = draw(gens)
     discarded = np.zeros(len(gens), dtype=int)
     while True:
         try:
-            return evaluate(*draws), int(discarded.sum())
+            return (*evaluate(*draws), int(discarded.sum()))
         except SingularMatrixError as err:
             rows = np.arange(len(gens)) if err.rows is None else np.flatnonzero(err.rows)
         discarded[rows] += 1
@@ -199,23 +199,26 @@ def _resampled(gens: list, draw, evaluate) -> tuple[np.ndarray, int]:
             values[rows] = fresh
 
 
-def _trials(n_trials: int, seed: int, draw, evaluate) -> tuple[np.ndarray, int]:
-    """Per-trial values and discarded draws over trials 0..n_trials-1,
-    drawn and evaluated as stacks of at most _BLOCK trials."""
+def _trials(n_trials: int, seed: int, draw, evaluate) -> tuple[np.ndarray, tuple, int]:
+    """Per-trial rows, their controls' exact means and the discarded draws
+    over trials 0..n_trials-1, drawn and evaluated as stacks of at most
+    _BLOCK trials.  evaluate returns (rows, means) for a stack; the means
+    depend on the point alone, so every stack's are the same."""
     values, discarded = [], 0
     for start in range(0, n_trials, _BLOCK):
-        block, n = _resampled(trial_streams(seed, start, min(start + _BLOCK, n_trials)),
-                              draw, evaluate)
+        block, means, n = _resampled(trial_streams(seed, start, min(start + _BLOCK, n_trials)),
+                                     draw, evaluate)
         values.append(block)
         discarded += n
-    return np.concatenate(values), discarded
+    return np.concatenate(values), means, discarded
 
 
 # Each engine is a draw(gens, cfg, B) -> arrays with one row per trial and
-# an evaluate(cfg, P, B, *arrays) -> one value per trial, or (trials, 1 + k)
-# rows of the rate and its k control variates.  There are three draws:
-# perfect CSIT (H), quantized CSIT (H, h_hat, ||h||^2, Z) and random
-# beamforming (H and a Haar beam matrix).
+# an evaluate(cfg, P, B, *arrays) -> (rows, means): (trials, 1 + k) rows of
+# the rate and k control variates, each built beside its exact mean, or
+# with k = 0 one rate per trial.  There are three draws: perfect CSIT (H),
+# quantized CSIT (H, h_hat, ||h||^2, Z) and random beamforming (H and a
+# Haar beam matrix).
 
 def _perfect_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     """Channel rows H, (trials, K, M): the transmitter knows H itself."""
@@ -261,68 +264,90 @@ def _beams(cfg: SimConfig, P: float, directions: np.ndarray) -> np.ndarray:
     return zf_beamformers(G) if cfg.precoder == ZF else rzf_beamformers(G, P)
 
 
-def _zf_rate(H: np.ndarray, P: float) -> np.ndarray:
-    """R_zf, the perfect-CSIT ZF sum rates on H."""
-    return _sum_rate(H, zf_beamformers(H.conj()), P)
+def _with_controls(rate: np.ndarray, controls: list) -> tuple:
+    """An evaluate's (rows, means) from the rates and k (column, exact
+    mean) pairs of its controls; with k = 0 the rows are the rates."""
+    if not controls:
+        return rate, ()
+    columns, means = zip(*controls)
+    return np.stack([rate, *columns], axis=-1), means
 
 
-def _gain_rate(cfg: SimConfig, P: float, mag2: np.ndarray) -> np.ndarray:
-    """D = sum_i log2(1 + (P/M) ||h_i||^2), from each user's ||h_i||^2."""
-    return np.log2(1.0 + (P / cfg.M) * mag2).sum(axis=-1)
+def _zf_control(cfg: SimConfig, P: float, H: np.ndarray) -> tuple:
+    """R_zf, the perfect-CSIT ZF sum rates on H, and its mean."""
+    return _sum_rate(H, zf_beamformers(H.conj()), P), zf_perfect_sum_rate(P, cfg.M)
 
 
-def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> np.ndarray:
-    """Perfect-CSIT sum rates; under RZF with R_zf and D on the same H,
-    shape (trials, 3).  See mu_throughput."""
+def _gain_control(cfg: SimConfig, P: float, mag2: np.ndarray) -> tuple:
+    """D = sum_i log2(1 + (P/M) ||h_i||^2), from each user's ||h_i||^2,
+    and its mean K E[log2(1 + (P/M) Gamma(M, 1))]."""
+    return (np.log2(1.0 + (P / cfg.M) * mag2).sum(axis=-1),
+            cfg.K * _ergodic_rate(P / cfg.M, cfg.M))
+
+
+def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> tuple:
+    """Perfect-CSIT sum rates; under RZF with the controls R_zf and D on
+    the same H.  See mu_throughput."""
     rate = _sum_rate(H, _beams(cfg, P, H), P)
-    if cfg.precoder == ZF:
-        return rate
-    return np.stack([rate, _zf_rate(H, P), _gain_rate(cfg, P, _vdot_rows(H, H).real)], axis=-1)
+    return _with_controls(rate, [] if cfg.precoder == ZF else [
+        _zf_control(cfg, P, H), _gain_control(cfg, P, _vdot_rows(H, H).real)])
 
 
-def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
-                     mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Quantized-CSIT sum rates, S, where B > 0 C1' on the ZF beams of
-    h_hat, else the rate on the polar factor of the rate's beams, D and,
-    under ZF, R_zf: shape (trials, 5) for ZF, (trials, 4) for RZF.  See
-    mu_throughput."""
+def _quantized_arm(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
+                   mag2: np.ndarray, z: np.ndarray) -> tuple:
+    """Quantized-CSIT sum rates and, as (column, exact mean) pairs, the
+    controls S, where B > 0 C1' on the ZF beams of h_hat, else the rate on
+    the polar factor of the rate's beams, and D.  See mu_throughput."""
     G = h_hat.conj()
     zf = zf_beamformers(G) if cfg.precoder == ZF or B > 0 else None
     beams = zf if cfg.precoder == ZF else rzf_beamformers(G, P)
     if B > 0:
         gain = _vdot_rows(h_hat, np.swapaxes(zf, -1, -2))
-        second = np.log2(1.0 + (P / cfg.M) * mag2 * (gain.real * gain.real
-                                                      + gain.imag * gain.imag)).sum(axis=-1)
+        second = (np.log2(1.0 + (P / cfg.M) * mag2 * (gain.real * gain.real
+                                                       + gain.imag * gain.imag)).sum(axis=-1),
+                  zf_perfect_sum_rate(P, cfg.M))
     else:
-        second = _sum_rate(H, _nearest_unitary(beams), P)
-    columns = [_sum_rate(H, beams, P), z.sum(axis=-1), second, _gain_rate(cfg, P, mag2)]
+        second = _sum_rate(H, _nearest_unitary(beams), P), unitary_sum_rate(P, cfg.M)
+    return _sum_rate(H, beams, P), [(z.sum(axis=-1), cfg.K * expected_error(cfg.M, B)),
+                                    second, _gain_control(cfg, P, mag2)]
+
+
+def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
+                     mag2: np.ndarray, z: np.ndarray) -> tuple:
+    """Quantized-CSIT sum rates with the controls S, C1' or the polar
+    rate, D and, under ZF, R_zf.  See mu_throughput."""
+    rate, controls = _quantized_arm(cfg, P, B, H, h_hat, mag2, z)
     if cfg.precoder == ZF:
-        columns.append(_zf_rate(H, P))
-    return np.stack(columns, axis=-1)
+        controls.append(_zf_control(cfg, P, H))
+    return _with_controls(rate, controls)
 
 
 def _gap_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
-               mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
+               mag2: np.ndarray, z: np.ndarray) -> tuple:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel
-    draw, then the perfect arm R_perf and the quantized arm's S, C1' or
-    polar rate, and D: shape (trials, 5).  Under ZF, R_perf is the quantized
-    arm's R_zf."""
-    rate, *controls = np.moveaxis(_quantized_rates(cfg, P, B, H, h_hat, mag2, z), -1, 0)
-    perfect = controls.pop() if cfg.precoder == ZF else _sum_rate(H, _beams(cfg, P, H), P)
-    return np.stack([(perfect - rate) / cfg.M, perfect, *controls], axis=-1)
+    draw, with the controls R_perf under ZF, where the perfect arm is R_zf,
+    then the quantized arm's S, C1' or polar rate, and D."""
+    rate, controls = _quantized_arm(cfg, P, B, H, h_hat, mag2, z)
+    if cfg.precoder == ZF:
+        controls.insert(0, _zf_control(cfg, P, H))
+        perfect = controls[0][0]
+    else:
+        perfect = _sum_rate(H, _beams(cfg, P, H), P)
+    return _with_controls((perfect - rate) / cfg.M, controls)
 
 
 def _miso_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
-                mag2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The one user's rate on a beam along its quantized direction, and
-    log2(1 + P ||h||^2), the rate on a beam along h itself: shape (trials, 2)."""
-    return np.stack([_log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0])),
-                     np.log2(1.0 + P * mag2[:, 0])], axis=-1)
+                mag2: np.ndarray, z: np.ndarray) -> tuple:
+    """The one user's rate on a beam along its quantized direction, with
+    the control log2(1 + P ||h||^2), the rate on a beam along h itself,
+    whose exact mean is bounds.miso_reference(P, M, B).c_csit."""
+    return _with_controls(_log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0])),
+                          [(np.log2(1.0 + P * mag2[:, 0]), _ergodic_rate(P, cfg.M))])
 
 
-def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> np.ndarray:
+def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> tuple:
     best = np.max(np.sum(np.abs(H) ** 2, axis=-1), axis=-1)
-    return _log2(1.0 + P * best)
+    return _log2(1.0 + P * best), ()
 
 
 def _random_bf_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
@@ -330,10 +355,11 @@ def _random_bf_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
 
 
 def _random_bf_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
-                     beams: np.ndarray) -> np.ndarray:
-    """Random-beamforming sum rates and, as their control variate, the sum
-    over beams of log2(1 + the beam's best SINR) on the same draw, where a
-    user may be best on several beams: shape (trials, 2)."""
+                     beams: np.ndarray) -> tuple:
+    """Random-beamforming sum rates with, where its mean is trusted, the
+    control R: the sum over beams of log2(1 + the beam's best SINR) on the
+    same draw, where a user may be best on several beams.  See
+    random_bf_throughput."""
     sinr_table = _sinr_table(H, beams, P)
     best_beam = np.argmax(sinr_table, axis=-1)
     best_val = np.take_along_axis(sinr_table, best_beam[..., None], axis=-1)
@@ -341,7 +367,9 @@ def _random_bf_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
     # and the beams' rates are summed in order, as one float at a time
     claims = np.where(best_beam[..., None] == np.arange(cfg.M), best_val, 0.0).max(axis=-2)
     rates = np.add.accumulate(_log2(1.0 + claims), axis=-1)[..., -1]
-    return np.stack([rates, np.log2(1.0 + sinr_table.max(axis=-2)).sum(axis=-1)], axis=-1)
+    mean = random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1 else None
+    return _with_controls(rates, [] if mean is None else [
+        (np.log2(1.0 + sinr_table.max(axis=-2)).sum(axis=-1), mean)])
 
 
 def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
@@ -349,19 +377,20 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
     """Control-variate estimate of the mean of `rates`, and its std_err.
 
     controls holds one row per control variate and control_means their
-    exact means; a row whose mean is None, or that is constant, is dropped.
-    The estimate is mean(rates) - beta . (mean(controls) - control_means),
-    with beta the least-squares fit of the centred rates on the k centred
-    controls (by the normal equations), and the std_err is the residuals' standard deviation on
-    n - 1 - k degrees of freedom over sqrt(n) (Glasserman, Monte Carlo
-    Methods in Financial Engineering, 2004, section 4.1).  With no control
-    left or fewer than k + 2 trials, the plain mean and std_err.
+    exact means; a row that is constant is dropped.  The estimate is
+    mean(rates) - beta . (mean(controls) - control_means), with beta the
+    least-squares fit of the centred rates on the k centred controls (by
+    the normal equations), and the std_err is the residuals' standard
+    deviation on n - 1 - k degrees of freedom over sqrt(n) (Glasserman,
+    Monte Carlo Methods in Financial Engineering, 2004, section 4.1).
+    Where the normal equations are singular, because two controls agree to
+    working precision, beta is the minimum-norm least-squares fit and k the
+    rank of the controls.  With no control left or fewer than k + 2
+    trials, the plain mean and std_err.
     """
     n = len(rates)
-    rows = [j for j, mean in enumerate(control_means) if mean is not None]
-    exact = np.array([control_means[j] for j in rows], dtype=float)
-    bars = controls[rows].mean(axis=-1)
-    dc = controls[rows] - bars[:, None]
+    bars = controls.mean(axis=-1)
+    dc = controls - bars[:, None]
     scale = np.sqrt((dc * dc).sum(axis=-1))
     varies = scale > 0.0
     k = int(varies.sum())
@@ -372,15 +401,18 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
     # unit-norm columns keep the normal equations well scaled when one
     # control is far smaller than another (S is ~1e-17 at large B)
     design = dc[varies] / scale[varies, None]
-    beta = np.linalg.solve(design @ design.T, design @ dy)
+    try:
+        beta = np.linalg.solve(design @ design.T, design @ dy)
+    except np.linalg.LinAlgError:  # e.g. C1' and R_zf once sqrt(Z) < ~1e-10
+        beta, _, k, _ = np.linalg.lstsq(design.T, dy, rcond=None)
     residual = dy - beta @ design
-    shift = (bars - exact)[varies] / scale[varies]
+    shift = (bars - np.array(control_means, dtype=float))[varies] / scale[varies]
     return (rate_bar - float(beta @ shift),
             math.sqrt(float((residual * residual).sum()) / ((n - 1 - k) * n)))
 
 
 def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None,
-           precoder: str | None = None, control=lambda P, B: ()) -> ThroughputCurve:
+           precoder: str | None = None) -> ThroughputCurve:
     """Sweep the SNR grid and average the engine's per-trial rates.
 
     Every point's bits are resolved before the first draw, so a grid with
@@ -388,22 +420,22 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     trial retries its draw while the beamformer build is singular and the
     discarded draws are counted per point.  A point whose mean or std_err
     is not finite raises ConfigError, in place of numpy's overflow,
-    invalid-value and divide-by-zero warnings.  control(P, B) gives the
-    exact means of k control variates at power P and resolved bits B;
-    evaluate returns (trials, 1 + k) rows of rate and controls, or one rate
-    per trial where k = 0, and each point reports the regression estimate
-    on the controls whose mean is not None: with none, the plain mean.
+    invalid-value and divide-by-zero warnings.  evaluate returns the rows
+    of rate and k controls at power P and resolved bits B, and the
+    controls' exact means; each point reports the regression estimate on
+    them, or with k = 0 the plain mean.
     """
     bits = grid_bits(cfg)
     means, errs, resamples = [], [], []
     for snr_db, B in zip(cfg.snr_grid_db, bits):
         P = 10.0 ** (snr_db / 10.0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values, discarded = _trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                                        lambda *arrays: evaluate(cfg, P, B, *arrays))
+            values, control_means, discarded = _trials(
+                cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
+                lambda *arrays: evaluate(cfg, P, B, *arrays))
             # each column contiguous, so its sums run in one order for every k
             columns = np.ascontiguousarray(values.reshape(cfg.trials, -1).T)
-            mean, err = _regression_estimate(columns[0], columns[1:], control(P, B))
+            mean, err = _regression_estimate(columns[0], columns[1:], control_means)
         if not (math.isfinite(mean) and math.isfinite(err)):
             raise ConfigError(f"{label} is not finite at SNR {snr_db} dB: "
                               "a rate or beam is not finite")
@@ -417,18 +449,6 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
         std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
         M=cfg.M, K=cfg.K, policy=policy, precoder=precoder or cfg.precoder, seed=cfg.seed,
         b_bits=np.array(bits), resamples=np.array(resamples))
-
-
-def _gain_mean(cfg: SimConfig, P: float) -> float:
-    """The exact mean of D: K E[log2(1 + (P/M) Gamma(M, 1))]."""
-    return cfg.K * _ergodic_rate(P / cfg.M, cfg.M)
-
-
-def _quantized_means(cfg: SimConfig, P: float, B: float) -> tuple:
-    """The exact means of a quantized point's S, C1' or polar rate, and D."""
-    return (cfg.K * expected_error(cfg.M, B),
-            zf_perfect_sum_rate(P, cfg.M) if B > 0 else unitary_sum_rate(P, cfg.M),
-            _gain_mean(cfg, P))
 
 
 def _require_square(cfg: SimConfig) -> None:
@@ -476,14 +496,9 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     """
     _require_square(cfg)
     if cfg.policy is None:
-        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _perfect_draw, _mu_rates,
-                      control=lambda P, B: (() if cfg.precoder == ZF else
-                                            (zf_perfect_sum_rate(P, cfg.M), _gain_mean(cfg, P))))
+        return _curve(cfg, label or f"{cfg.precoder.lower()}_perfect", _perfect_draw, _mu_rates)
     return _curve(cfg, label or f"{cfg.precoder.lower()}_quantized", _quantized_draw,
-                  _quantized_rates,
-                  control=lambda P, B: (*_quantized_means(cfg, P, B),
-                                        *((zf_perfect_sum_rate(P, cfg.M),)
-                                          if cfg.precoder == ZF else ())))
+                  _quantized_rates)
 
 
 def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
@@ -502,9 +517,7 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
     _require_square(cfg)
     if cfg.policy is None:
         raise ConfigError("rate_gap compares quantized with perfect CSIT; give a feedback policy")
-    return _curve(cfg, label, _quantized_draw, _gap_rates,
-                  control=lambda P, B: (zf_perfect_sum_rate(P, cfg.M) if cfg.precoder == ZF
-                                        else None, *_quantized_means(cfg, P, B)))
+    return _curve(cfg, label, _quantized_draw, _gap_rates)
 
 
 def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -> ThroughputCurve:
@@ -518,8 +531,7 @@ def miso_feedback_throughput(cfg: SimConfig, label: str = "miso_fb_quantized") -
         raise ConfigError(f"miso engine requires K == 1, got K={cfg.K}")
     if cfg.policy is None:
         raise ConfigError("miso engine models quantized feedback; give a feedback policy")
-    return _curve(cfg, label, _quantized_draw, _miso_rates, precoder="BF",
-                  control=lambda P, B: (_ergodic_rate(P, cfg.M),))
+    return _curve(cfg, label, _quantized_draw, _miso_rates, precoder="BF")
 
 
 def tdma_throughput(cfg: SimConfig, label: str = "tdma") -> ThroughputCurve:
@@ -544,9 +556,7 @@ def random_bf_throughput(cfg: SimConfig, label: str = "random_bf") -> Throughput
     if cfg.K < cfg.M:
         raise ConfigError(f"random beamforming requires K >= M, got K={cfg.K}, M={cfg.M}")
     return _curve(replace(cfg, policy=None), label, _random_bf_draw, _random_bf_rates,
-                  policy="random_bf/max-sinr-claim", precoder="BF",
-                  control=lambda P, B: (random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1
-                                        else None,))
+                  policy="random_bf/max-sinr-claim", precoder="BF")
 
 
 def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
@@ -564,10 +574,10 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
         v0 = zf_beamformers(h_hat.conj())[..., 0]
         dirs = H / np.linalg.norm(H, axis=-1, keepdims=True)
         return np.stack([np.abs(_vdot_rows(dirs[:, 0], v0)) ** 2,
-                         np.abs(_vdot_rows(dirs[:, 1], v0)) ** 2, z[:, 1]], axis=-1)
+                         np.abs(_vdot_rows(dirs[:, 1], v0)) ** 2, z[:, 1]], axis=-1), ()
 
-    vals, resamples = _trials(n_trials, seed, lambda gens: _quantized_draw(gens, cfg, B),
-                              statistics)
+    vals, _, resamples = _trials(n_trials, seed, lambda gens: _quantized_draw(gens, cfg, B),
+                                 statistics)
     return {
         "signal": vals[:, 0],
         "interference": vals[:, 1],

@@ -38,7 +38,7 @@ def _brute_errors(m: int, b: int, n: int, seed: int) -> np.ndarray:
     """Errors Z of trials 0..n-1 of the engine's brute-force draw for one user."""
     cfg = SimConfig(M=m, K=1, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(b), path=BRUTE_FORCE)
     return _trials(n, seed, lambda gens: _quantized_draw(gens, cfg, b),
-                   lambda H, h_hat, mag2, z: z[:, 0])[0]
+                   lambda H, h_hat, mag2, z: (z[:, 0], ()))[0]
 
 
 def test_01_quantizer_error_mean(capsys):

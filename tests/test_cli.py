@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fbmimo import simulate
-from fbmimo.bounds import ScalingPolicy
+from fbmimo.bounds import ScalingPolicy, zf_perfect_sum_rate
 from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, main,
                         parse_bit_range, parse_snr_grid)
 from fbmimo.errors import ConfigError, DomainError, SingularMatrixError
@@ -232,6 +232,18 @@ class TestSweepCommand:
             assert float(r[9]) == curve.std_err[j]
             assert r[10] == "64"
             assert r[11] == "42"
+
+    def test_controls_equal_to_working_precision(self, tmp_path):
+        # at B = 200, sqrt(Z) < 1e-10: C1' and R_zf agree to working
+        # precision, and every point is the perfect-CSIT ZF rate
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--engine", "mu", "--M", "4", "--csit", "quantized",
+                     "--scaling", "fixed", "--B", "200", "--snr", "0:10:40", "--trials", "50",
+                     "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 5
+        for r in rows:
+            assert abs(float(r[8]) - zf_perfect_sum_rate(10.0 ** (float(r[7]) / 10.0), 4)) < 1e-6
 
     def test_baseline_engines(self, tmp_path):
         out = tmp_path / "rbf.csv"

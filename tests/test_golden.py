@@ -22,9 +22,10 @@ bit-identical per (config, seed) on that numpy; every failure message, and
     PYTHONPATH=src python tests/test_golden.py --diff
 
 reruns every golden output and prints, per file that differs, the number of
-differing cells in each column and the curves they are in.  It writes
-nothing, so it shows which cells a change moves before any file is
-regenerated.
+cells off by more than rtol 1e-12 in each column and the curves they are
+in, and the number of cells that are not byte-identical, so that it lists
+a file even where every cell is within 1e-12.  It writes nothing, so it
+shows which cells a change moves before any file is regenerated.
 """
 
 import argparse
@@ -77,20 +78,23 @@ def _read(path: Path) -> list[list[str]]:
 
 
 def _csv_differences(got: list[list[str]], want: list[list[str]]) -> str | None:
-    """The differing cells of two CSVs counted per column, with the curves
-    they are in; None if the two match."""
+    """The cells of two CSVs that differ beyond rtol 1e-12, counted per
+    column, with the curves they are in, and the count of cells that are
+    not byte-identical; None if the two are byte-identical."""
     if got[0] != want[0] or len(got) != len(want):
         return f"header or row count differs ({len(got) - 1} rows, golden {len(want) - 1})"
-    columns, curves = Counter(), []
+    columns, curves, inexact = Counter(), [], 0
     for got_row, want_row in zip(got[1:], want[1:]):
+        inexact += sum(g != w for g, w in zip(got_row, want_row))
         cells = [name for name, g, w in zip(want[0], got_row, want_row) if not _same_cell(g, w)]
         columns.update(cells)
         if cells and want_row[1] not in curves:
             curves.append(want_row[1])
-    if not columns:
+    if not inexact:
         return None
     counts = ", ".join(f"{name} {n}" for name, n in columns.items())
-    return f"{counts}; curves {', '.join(curves)}"
+    beyond = f"{counts}; curves {', '.join(curves)}" if columns else "none beyond rtol 1e-12"
+    return f"{beyond}; {inexact} not byte-identical"
 
 
 def diff_golden() -> list[str]:
@@ -136,14 +140,22 @@ def test_differences_are_counted_per_column():
             ["f", "a", "1.0", "40"], ["f", "b", "2.0", "40"]]
     assert _csv_differences([row[:] for row in want], want) is None
     got = [want[0], ["f", "a", "1.5", "40"], ["f", "b", "2.0", "41"]]
-    assert _csv_differences(got, want) == "throughput_bps_hz 1, trials 1; curves a, b"
+    assert _csv_differences(got, want) == (
+        "throughput_bps_hz 1, trials 1; curves a, b; 2 not byte-identical")
+    # a last-bit change is within rtol 1e-12 but still counted
+    last_bit = [want[0], ["f", "a", "1.0000000000000002", "40"], ["f", "b", "2.0", "40"]]
+    assert _csv_differences(last_bit, want) == "none beyond rtol 1e-12; 1 not byte-identical"
+    got[2][2] = "2.0000000000000004"
+    assert _csv_differences(got, want) == (
+        "throughput_bps_hz 1, trials 1; curves a, b; 3 not byte-identical")
     assert _csv_differences(got[:2], want).startswith("header or row count")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Compare fresh runs with tests/golden.")
     parser.add_argument("--diff", action="store_true", required=True,
-                        help="print each golden file's differing cells, counted per column")
+                        help="print each golden file's differing cells, counted per column, "
+                             "and its cells that are not byte-identical")
     parser.parse_args()
     print(VERSIONS)
     print("\n".join(diff_golden()) or "every golden output matches")

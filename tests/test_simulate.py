@@ -32,7 +32,7 @@ def _cfg(**kw):
 
 def _quantized_rate(cfg, P):
     # an evaluate for the quantized-CSIT rate alone, without its controls
-    return lambda H, h_hat, mag2, z: sim._sum_rate(H, sim._beams(cfg, P, h_hat), P)
+    return lambda H, h_hat, mag2, z: (sim._sum_rate(H, sim._beams(cfg, P, h_hat), P), ())
 
 
 def _scalar_rate_oracle(p_eff: float, m: int) -> float:
@@ -291,10 +291,10 @@ class TestRandomBf:
         curve = random_bf_throughput(cfg)
         for j, snr_db in enumerate(cfg.snr_grid_db):
             P = 10.0 ** (snr_db / 10.0)
-            values, _ = sim._trials(cfg.trials, cfg.seed,
-                                    lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
-                                    lambda *arrays: sim._random_bf_rates(cfg, P, math.nan, *arrays))
-            rates = values[:, 0].copy()
+            rates, means, _ = sim._trials(
+                cfg.trials, cfg.seed, lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
+                lambda *arrays: sim._random_bf_rates(cfg, P, math.nan, *arrays))
+            assert rates.ndim == 1 and means == ()  # no control is computed
             assert curve.mean_bps_hz[j] == rates.mean()
             assert curve.std_err[j] == rates.std(ddof=1) / math.sqrt(cfg.trials)
             assert M == 1 or random_bf_sum_rate(P, M, K) is None
@@ -366,7 +366,6 @@ class TestControlVariate:
         assert sim._regression_estimate(rates[:2], rates[None, :2] ** 2, (9.0,)) == (
             1.5, rates[:2].std(ddof=1) / math.sqrt(2))
         assert sim._regression_estimate(rates[:1], rates[None, :1], (9.0,)) == (1.0, 0.0)
-        assert sim._regression_estimate(rates, rates[None], (None,)) == plain
         assert sim._regression_estimate(rates, np.empty((0, 3)), ()) == plain  # no control
 
     def test_plain_estimate_below_k_plus_two_trials(self):
@@ -380,7 +379,7 @@ class TestControlVariate:
         constant = np.array([np.full(3, 2.0), np.full(3, 5.0)])
         assert sim._regression_estimate(rates[:3], constant, (9.0, 1.0)) == plain
 
-    def test_a_constant_control_or_one_without_a_mean_is_dropped(self):
+    def test_a_constant_control_is_dropped(self):
         gen = RngStream(23, 2).generator()
         control = gen.gamma(2.0, 1.0, size=40)
         rates = 0.7 * control + gen.standard_normal(40)
@@ -388,16 +387,26 @@ class TestControlVariate:
         with_constant = np.array([np.full(40, 3.0), control])
         np.testing.assert_allclose(sim._regression_estimate(rates, with_constant, (1.0, 2.0)),
                                    one, rtol=1e-12)
-        without_mean = np.array([control, gen.standard_normal(40)])
-        np.testing.assert_allclose(sim._regression_estimate(rates, without_mean, (2.0, None)),
-                                   one, rtol=1e-12)
+
+    def test_duplicated_controls_fit_on_their_rank(self):
+        # a control given twice makes the normal equations singular: the fit
+        # is then the one without the copy, on its degrees of freedom
+        # (C1' and R_zf agree to working precision once sqrt(Z) < ~1e-10)
+        gen = RngStream(23, 3).generator()
+        controls = np.array([gen.gamma(2.0, 1.0, size=60), gen.standard_normal(60)])
+        rates = 0.7 * controls[0] - 1.3 * controls[1] + 0.5 * gen.standard_normal(60)
+        want = sim._regression_estimate(rates, controls, (2.0, 0.1))
+        for duplicated, means in [(controls[[0, 1, 0]], (2.0, 0.1, 2.0)),
+                                  (controls[[0, 1, 0, 1]], (2.0, 0.1, 2.0, 0.1))]:
+            np.testing.assert_allclose(sim._regression_estimate(rates, duplicated, means), want,
+                                       rtol=1e-12)
 
     def test_variance_cut_at_ten_db(self):
         # M=4, B=10, 10 dB: the control explains most of the variance
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=3000)
-        rates, _ = sim._trials(cfg.trials, cfg.seed,
-                               lambda gens: sim._quantized_draw(gens, cfg, 10.0),
-                               _quantized_rate(cfg, 10.0))
+        rates, _, _ = sim._trials(cfg.trials, cfg.seed,
+                                  lambda gens: sim._quantized_draw(gens, cfg, 10.0),
+                                  _quantized_rate(cfg, 10.0))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 1.5
 
@@ -407,27 +416,26 @@ class TestControlVariate:
         # seed 5, before D and R_zf), and D and R_zf more than 1.4x over
         # [S, C1'] alone
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), path=BRUTE_FORCE, trials=3000)
-        columns = np.ascontiguousarray(self._quantized_columns(cfg, 10.0, 10.0).T)
+        values, means = self._quantized_columns(cfg, 10.0, 10.0)
+        columns = np.ascontiguousarray(values.T)
         plain_err = columns[0].std(ddof=1) / math.sqrt(cfg.trials)
         err = mu_throughput(cfg).std_err[0]
         assert (plain_err / err) ** 2 > 5.0
-        means = sim._quantized_means(cfg, 10.0, 10.0)[:2]
-        two_err = sim._regression_estimate(columns[0], columns[1:], (*means, None, None))[1]
+        two_err = sim._regression_estimate(columns[0], columns[1:3], means[:2])[1]
         assert (two_err / err) ** 2 > 1.4
 
     @staticmethod
     def _quantized_columns(cfg, B, P):
-        values, _ = sim._trials(cfg.trials, cfg.seed,
-                                lambda gens: sim._quantized_draw(gens, cfg, B),
-                                lambda *arrays: sim._quantized_rates(cfg, P, B, *arrays))
-        return values
+        # the quantized evaluate's rows and its controls' exact means
+        return sim._trials(cfg.trials, cfg.seed, lambda gens: sim._quantized_draw(gens, cfg, B),
+                           lambda *arrays: sim._quantized_rates(cfg, P, B, *arrays))[:2]
 
     def _check_same_beam_mean(self, path, B, trials, precoder):
         # Bound fixed before the first run: the mean of the engine's
         # per-trial C1' is within 4 of its std_errs of the perfect-CSIT ZF
         # mean (two-sided normal tail 6e-5).
         cfg = _cfg(M=4, K=4, path=path, precoder=precoder, trials=trials)
-        control = self._quantized_columns(cfg, B, 10.0)[:, 2]
+        control = self._quantized_columns(cfg, B, 10.0)[0][:, 2]
         err = control.std(ddof=1) / math.sqrt(trials)
         assert abs(control.mean() - zf_perfect_sum_rate(10.0, cfg.M)) <= 4.0 * err
 
@@ -452,11 +460,11 @@ class TestControlVariate:
         cfg = _cfg(M=4, K=4, path=path, trials=2000)
 
         def both(H, h_hat, mag2, z):
-            return np.stack([sim._quantized_rates(cfg, 10.0, B, H, h_hat, mag2, z)[:, 2],
-                             sim._mu_rates(cfg, 10.0, B, H)], axis=-1)
+            return np.stack([sim._quantized_rates(cfg, 10.0, B, H, h_hat, mag2, z)[0][:, 2],
+                             sim._mu_rates(cfg, 10.0, B, H)[0]], axis=-1), ()
 
-        values, _ = sim._trials(cfg.trials, cfg.seed,
-                                lambda gens: sim._quantized_draw(gens, cfg, B), both)
+        values, _, _ = sim._trials(cfg.trials, cfg.seed,
+                                   lambda gens: sim._quantized_draw(gens, cfg, B), both)
         assert stats.ks_2samp(values[:, 0], values[:, 1]).pvalue > 0.01
 
     @pytest.mark.parametrize("precoder", [ZF, RZF])
@@ -468,7 +476,7 @@ class TestControlVariate:
         # of bounds.unitary_sum_rate (two-sided normal tail 6e-5).
         cfg = _cfg(M=4, K=4, path=path, precoder=precoder, trials=2000)
         P = 10.0 ** (snr_db / 10.0)
-        control = self._quantized_columns(cfg, 0.0, P)[:, 2]
+        control = self._quantized_columns(cfg, 0.0, P)[0][:, 2]
         err = control.std(ddof=1) / math.sqrt(cfg.trials)
         assert abs(control.mean() - unitary_sum_rate(P, cfg.M)) <= 4.0 * err
 
@@ -477,9 +485,9 @@ class TestControlVariate:
         # drives most of the rate's variance
         cfg = _cfg(M=4, K=4, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(0), precoder=RZF,
                    trials=3000)
-        rates, _ = sim._trials(cfg.trials, cfg.seed,
-                               lambda gens: sim._quantized_draw(gens, cfg, 0.0),
-                               _quantized_rate(cfg, 1.0))
+        rates, _, _ = sim._trials(cfg.trials, cfg.seed,
+                                  lambda gens: sim._quantized_draw(gens, cfg, 0.0),
+                                  _quantized_rate(cfg, 1.0))
         plain_err = rates.std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / mu_throughput(cfg).std_err[0]) ** 2 > 2.0
 
@@ -488,7 +496,7 @@ class TestControlVariate:
         # per-trial S is within 4 of its std_errs of K E[Z] (two-sided
         # normal tail 6e-5).
         cfg = _cfg(M=M, K=M, precoder=RZF, path=path, trials=trials)
-        control = self._quantized_columns(cfg, B, 10.0)[:, 1]
+        control = self._quantized_columns(cfg, B, 10.0)[0][:, 1]
         err = control.std(ddof=1) / math.sqrt(trials)
         assert abs(control.mean() - cfg.K * expected_error(cfg.M, B)) <= 4.0 * err
 
@@ -507,9 +515,9 @@ class TestControlVariate:
         # compare88's random_bf point at 10 dB (M = K = 8); bound fixed
         # before the first run: more than 2x
         cfg = SimConfig(M=8, K=8, snr_grid_db=(10.0,), trials=3000, seed=7)
-        values, _ = sim._trials(cfg.trials, cfg.seed,
-                                lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
-                                lambda *arrays: sim._random_bf_rates(cfg, 10.0, math.nan, *arrays))
+        values, _, _ = sim._trials(
+            cfg.trials, cfg.seed, lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
+            lambda *arrays: sim._random_bf_rates(cfg, 10.0, math.nan, *arrays))
         plain_err = values[:, 0].std(ddof=1) / math.sqrt(cfg.trials)
         assert (plain_err / random_bf_throughput(cfg).std_err[0]) ** 2 > 2.0
 
@@ -521,9 +529,9 @@ class TestControlVariate:
         # random_bf_sum_rate (two-sided normal tail 6e-5).
         cfg = SimConfig(M=M, K=K, snr_grid_db=(snr_db,), trials=3000, seed=29)
         P = 10.0 ** (snr_db / 10.0)
-        values, _ = sim._trials(cfg.trials, cfg.seed,
-                                lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
-                                lambda *arrays: sim._random_bf_rates(cfg, P, math.nan, *arrays))
+        values, _, _ = sim._trials(
+            cfg.trials, cfg.seed, lambda gens: sim._random_bf_draw(gens, cfg, math.nan),
+            lambda *arrays: sim._random_bf_rates(cfg, P, math.nan, *arrays))
         control = values[:, 1]
         err = control.std(ddof=1) / math.sqrt(cfg.trials)
         assert abs(control.mean() - random_bf_sum_rate(P, M, K)) <= 4.0 * err
@@ -570,11 +578,12 @@ class TestControlVariate:
         differenced = B > 30.0
 
         def rates(*arrays):
-            rows = evaluate(cfg, P, B, *arrays)
-            return rows[:, 0] - rows[:, 2] if differenced else rows[:, 0]
+            rows = evaluate(cfg, P, B, *arrays)[0]
+            return rows[:, 0] - rows[:, 2] if differenced else rows[:, 0], ()
 
         ref_trials = 60_000
-        reference, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B), rates)
+        reference, _, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B),
+                                      rates)
         want = reference.mean() + (zf_perfect_sum_rate(P, cfg.M) if differenced else 0.0)
         want_err = reference.std(ddof=1) / math.sqrt(ref_trials)
         within = []
@@ -666,10 +675,11 @@ def _one_quantized_and_controls(gen, cfg, P, B):
 
 
 def _one_gap(gen, cfg, P, B):
-    # the per-user gap, the perfect arm, and the quantized arm's controls
+    # the per-user gap, under ZF the perfect arm, and the quantized arm's
+    # controls; the RZF perfect arm has no exact mean and is no control
     H, rate, *controls = _one_quantized_arm(gen, cfg, P, B)
     perfect = _one_sum_rate(H, _one_beams(H.conj(), cfg.precoder, P), P)
-    return ((perfect - rate) / cfg.M, perfect, *controls)
+    return ((perfect - rate) / cfg.M, *((perfect,) if cfg.precoder == ZF else ()), *controls)
 
 
 def _one_miso(gen, cfg, P, B):
@@ -720,8 +730,8 @@ _CONTROL_MEANS = {
     _one_quantized_and_controls: lambda cfg, P, B: (
         *_quantized_arm_means(cfg, P, B),
         *((zf_perfect_sum_rate(P, cfg.M),) if cfg.precoder == ZF else ())),
-    _one_gap: lambda cfg, P, B: (zf_perfect_sum_rate(P, cfg.M) if cfg.precoder == ZF else None,
-                                 *_quantized_arm_means(cfg, P, B)),
+    _one_gap: lambda cfg, P, B: (*((zf_perfect_sum_rate(P, cfg.M),) if cfg.precoder == ZF
+                                   else ()), *_quantized_arm_means(cfg, P, B)),
     _one_miso: lambda cfg, P, B: (miso_reference(P, cfg.M, B).c_csit,),
     _one_random_bf: lambda cfg, P, B: (random_bf_sum_rate(P, cfg.M, cfg.K),),
 }
@@ -789,16 +799,19 @@ class TestStackedEnginesMatchOneTrialAtATime:
             P = 10.0 ** (snr_db / 10.0)
             B = sim._resolve_bits(cfg, snr_db)
             want, want_discarded = _one_at_a_time(one, cfg, P, B)
-            got, discarded = sim._trials(cfg.trials, cfg.seed,
-                                         lambda gens: draw(gens, cfg, B),
-                                         lambda *arrays: evaluate(cfg, P, B, *arrays))
+            got, means, discarded = sim._trials(cfg.trials, cfg.seed,
+                                                lambda gens: draw(gens, cfg, B),
+                                                lambda *arrays: evaluate(cfg, P, B, *arrays))
             np.testing.assert_array_equal(got, want)
             assert discarded == want_discarded == curve.resamples[j]
             if want.ndim == 2:  # rates and their control variates
+                # one exact mean per control, bit for bit the oracle's
+                assert len(means) == want.shape[1] - 1
+                assert means == _CONTROL_MEANS[one](cfg, P, B)
                 columns = np.ascontiguousarray(want.T)
-                mean, err = sim._regression_estimate(columns[0], columns[1:],
-                                                     _CONTROL_MEANS[one](cfg, P, B))
+                mean, err = sim._regression_estimate(columns[0], columns[1:], means)
             else:
+                assert means == ()
                 mean, err = want.mean(), want.std(ddof=1) / math.sqrt(cfg.trials)
             assert curve.mean_bps_hz[j] == mean
             assert curve.std_err[j] == err
@@ -813,8 +826,9 @@ class TestStackedEnginesMatchOneTrialAtATime:
         # per-trial rows of an evaluate at one point, and the draws it discarded
         P, B = 10.0 ** (snr_db / 10.0), sim._resolve_bits(cfg, snr_db)
         draw = sim._perfect_draw if cfg.policy is None else sim._quantized_draw
-        return sim._trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                           lambda *arrays: evaluate(cfg, P, B, *arrays))
+        rows, _, discarded = sim._trials(cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
+                                         lambda *arrays: evaluate(cfg, P, B, *arrays))
+        return rows, discarded
 
     @pytest.mark.parametrize("case", ["zf_perfect", "rzf_perfect", "zf_fast", "zf_brute",
                                       "rzf_fast", "rzf_brute", "rate_gap", "rate_gap_rzf",
