@@ -11,11 +11,11 @@ channels, beams and rates for the whole stack of trials at once.
 Two quantized-CSIT paths are available: brute_force enumerates a fresh
 random codebook per user per trial (integer B with M * 2^B <= 2^24;
 non-integer B is rounded up), while fast_decomposition samples the error
-statistic directly and is exact in distribution at any real B.  Large
-brute codebooks are drawn and searched in shares (fbmimo.shares), one
-contiguous run of a stack's trials per CPU the process may use, each run
-on its own process; each trial still draws only from its own stream, and
-hands its stream's state back, so the result is bit-identical whatever
+statistic directly and is exact in distribution at any real B.  A stack
+of large brute codebooks is split into contiguous runs of trials, one per
+CPU the process may use, and each run draws, searches, redraws and
+evaluates its trials in its own share (fbmimo.shares); a trial still
+draws only from its own stream, so the result is bit-identical whatever
 the share count.  Everything else runs on the calling process.
 """
 
@@ -43,12 +43,14 @@ DEFAULT_SEED = 42
 
 _MAX_RESAMPLES = 1000
 _BLOCK = 1024  # trials drawn and evaluated as one stack
-# Brute-path shares are sized by a codebook's M * 2^B complex entries.  A
+# Brute-path runs are sized by a codebook's M * 2^B complex entries.  A
 # fork has a fixed cost, which small codebooks do not repay: on 2 CPUs,
 # without this gate, the engine took about 105 -> 143 ms at M=2, B=2 (5
 # points x 300 trials) and 30 -> 50 ms at M=4, B=4 (40 trials).  A
 # codebook's draw and search peak at 34-40 bytes per entry, so 2^20 entries
-# over all of a stack's processes hold about 40 MiB.
+# over all of a stack's processes hold about 40 MiB.  A brute curve inside
+# a figure share splits its stacks again, so on 2 CPUs a brute figure can
+# hold twice that.
 _SHARE_MIN_ENTRIES = 1 << 11
 _SHARE_BUDGET_ENTRIES = 1 << 20
 # the highest SNR point; a point's power 10^(dB/10) overflows from ~3082.55 dB
@@ -130,18 +132,18 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(M: int, B: float, trials: int, cpus: int) -> int:
-    """Shares that draw and search the codebooks of `trials` trials.
+def _workers(M: int, B: float, cpus: int) -> int:
+    """Runs, each in its own share, that a stack of brute trials with
+    codebooks of M * 2^B entries is split into.
 
-    One below _SHARE_MIN_ENTRIES entries (M * 2^B) per codebook, where a
-    fork costs more than it saves.  Above, one per CPU and per trial, but
-    no more than keep the shares' codebooks within _SHARE_BUDGET_ENTRIES
-    together.
+    One below _SHARE_MIN_ENTRIES entries per codebook, where a fork costs
+    more than it saves.  Above, one per CPU, but no more than keep the
+    runs' codebooks within _SHARE_BUDGET_ENTRIES together.
     """
     entries = M << int(B)
     if entries < _SHARE_MIN_ENTRIES:
         return 1
-    return max(1, min(cpus, trials, _SHARE_BUDGET_ENTRIES // entries))
+    return max(1, min(cpus, _SHARE_BUDGET_ENTRIES // entries))
 
 
 def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,17 +201,27 @@ def _resampled(gens: list, draw, evaluate) -> tuple[np.ndarray, tuple, int]:
             values[rows] = fresh
 
 
-def _trials(n_trials: int, seed: int, draw, evaluate) -> tuple[np.ndarray, tuple, int]:
+def _trials(n_trials: int, seed: int, draw, evaluate,
+            workers: int = 1) -> tuple[np.ndarray, tuple, int]:
     """Per-trial rows, their controls' exact means and the discarded draws
     over trials 0..n_trials-1, drawn and evaluated as stacks of at most
-    _BLOCK trials.  evaluate returns (rows, means) for a stack; the means
-    depend on the point alone, so every stack's are the same."""
+    _BLOCK trials.  Each stack is split into at most `workers` contiguous
+    runs, and each run is drawn, redrawn and evaluated (_resampled) in its
+    own share (fbmimo.shares), the first on the calling process; a trial
+    reads only its own stream, so the rows do not depend on the split.
+    evaluate returns (rows, means) for a run; the means depend on the
+    point alone, so every run's are the same."""
+    from .shares import run_in_shares  # here, so that importing fbmimo.cli never loads it
     values, discarded = [], 0
     for start in range(0, n_trials, _BLOCK):
-        block, means, n = _resampled(trial_streams(seed, start, min(start + _BLOCK, n_trials)),
-                                     draw, evaluate)
-        values.append(block)
-        discarded += n
+        gens = trial_streams(seed, start, min(start + _BLOCK, n_trials))
+        runs = min(workers, len(gens))
+        edges = [len(gens) * w // runs for w in range(runs + 1)]
+        for rows, means, n in run_in_shares(
+                lambda w: _resampled(gens[edges[w]:edges[w + 1]], draw, evaluate),
+                [[w] for w in range(runs)]):
+            values.append(rows)
+            discarded += n
     return np.concatenate(values), means, discarded
 
 
@@ -230,29 +242,13 @@ def _quantized_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
     each user's ||h||^2 and error Z = sin^2(angle(h, h_hat)), (trials, K)."""
     M, K = cfg.M, cfg.K
     if cfg.path == BRUTE_FORCE:
-        from .shares import run_in_shares  # here, so that importing fbmimo.cli never loads it
         H = sample_complex_gaussian(M, gens, size=K)
-        workers = _workers(M, B, len(gens), _cpus())
-        edges = [len(gens) * w // workers for w in range(workers + 1)]
-
-        def search(w: int) -> tuple:
-            """Run w's quantized directions and errors, copied out of the
-            codebooks so that none outlives its search, and, but for run 0,
-            which runs on the calling process, its streams' states after
-            their codebooks."""
-            run = range(edges[w], edges[w + 1])
-            h_hat, z = np.empty((len(run), K, M), complex), np.empty((len(run), K))
-            for j, t in enumerate(run):
-                for i in range(K):
-                    q = quantize(H[t, i], generate_codebook(M, B, gens[t]))
-                    h_hat[j, i], z[j, i] = q.h_hat, q.error_z
-            return h_hat, z, [gens[t].bit_generator.state for t in run] if w else []
-
-        h_hats, zs, states = zip(*run_in_shares(search, [[w] for w in range(workers)]))
-        # a singular redraw continues each stream where a serial run would
-        for gen, state in zip(gens[edges[1]:], (state for part in states for state in part)):
-            gen.bit_generator.state = state
-        return H, np.concatenate(h_hats), _vdot_rows(H, H).real, np.concatenate(zs)
+        h_hat, z = np.empty((len(gens), K, M), complex), np.empty((len(gens), K))
+        for t, gen in enumerate(gens):
+            for i in range(K):
+                q = quantize(H[t, i], generate_codebook(M, B, gen))
+                h_hat[t, i], z[t, i] = q.h_hat, q.error_z
+        return H, h_hat, _vdot_rows(H, H).real, z
     h_dir, h_hat, z = sample_quantized_pair(M, B, gens, size=K)
     mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
     return np.sqrt(mag2)[..., None] * h_dir, h_hat, mag2, z
@@ -426,13 +422,15 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     them, or with k = 0 the plain mean.
     """
     bits = grid_bits(cfg)
+    brute = cfg.policy is not None and cfg.path == BRUTE_FORCE  # the draw searches codebooks
     means, errs, resamples = [], [], []
     for snr_db, B in zip(cfg.snr_grid_db, bits):
         P = 10.0 ** (snr_db / 10.0)
+        workers = _workers(cfg.M, B, _cpus()) if brute else 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values, control_means, discarded = _trials(
                 cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                lambda *arrays: evaluate(cfg, P, B, *arrays))
+                lambda *arrays: evaluate(cfg, P, B, *arrays), workers)
             # each column contiguous, so its sums run in one order for every k
             columns = np.ascontiguousarray(values.reshape(cfg.trials, -1).T)
             mean, err = _regression_estimate(columns[0], columns[1:], control_means)
@@ -577,7 +575,7 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
                          np.abs(_vdot_rows(dirs[:, 1], v0)) ** 2, z[:, 1]], axis=-1), ()
 
     vals, _, resamples = _trials(n_trials, seed, lambda gens: _quantized_draw(gens, cfg, B),
-                                 statistics)
+                                 statistics, _workers(M, B, _cpus()) if path == BRUTE_FORCE else 1)
     return {
         "signal": vals[:, 0],
         "interference": vals[:, 1],

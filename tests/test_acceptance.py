@@ -16,9 +16,10 @@ from fbmimo.bounds import (ScalingPolicy, ThroughputCurve, ceiling_fixed_B, feed
                            rate_gap_bound, rvq_bit_penalty, zf_dpc_power_offset_db)
 from fbmimo.numerics import RngStream
 from fbmimo.quantizer import error_ccdf, expected_error, sample_error
-from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, _quantized_draw,
-                             _trials, collect_zf_statistics, miso_feedback_throughput,
-                             mu_throughput, random_bf_throughput, rate_gap, tdma_throughput)
+from fbmimo.simulate import (BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, _cpus,
+                             _quantized_draw, _trials, _workers, collect_zf_statistics,
+                             miso_feedback_throughput, mu_throughput, random_bf_throughput,
+                             rate_gap, tdma_throughput)
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -38,7 +39,7 @@ def _brute_errors(m: int, b: int, n: int, seed: int) -> np.ndarray:
     """Errors Z of trials 0..n-1 of the engine's brute-force draw for one user."""
     cfg = SimConfig(M=m, K=1, snr_grid_db=(0.0,), policy=ScalingPolicy.fixed(b), path=BRUTE_FORCE)
     return _trials(n, seed, lambda gens: _quantized_draw(gens, cfg, b),
-                   lambda H, h_hat, mag2, z: (z[:, 0], ()))[0]
+                   lambda H, h_hat, mag2, z: (z[:, 0], ()), _workers(m, b, _cpus()))[0]
 
 
 def test_01_quantizer_error_mean(capsys):

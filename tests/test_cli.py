@@ -545,6 +545,30 @@ class TestFigureShares:
                                         "resamples in one trial\n")
         assert no_child_left()
 
+    def test_singular_brute_run_in_a_forked_share_is_exit_4(self, monkeypatch, capsys):
+        # as above, for a brute sweep: its second run redraws, and gives up,
+        # in a forked share
+        argv = ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:5:0",
+                "--trials", "2", "--out", "-"]
+        parent = os.getpid()
+
+        def singular(*args, **kwargs):
+            if os.getpid() != parent or simulate._cpus() == 1:
+                raise SingularMatrixError("forced")
+            return zf_beamformers(*args, **kwargs)
+
+        zf_beamformers = simulate.zf_beamformers
+        monkeypatch.setattr(simulate, "zf_beamformers", singular)
+        monkeypatch.setattr(simulate, "_SHARE_MIN_ENTRIES", 0)
+        lines = []
+        for count in (1, 2):
+            monkeypatch.setattr(simulate, "_cpus", lambda: count)
+            assert main(argv) == 4
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] == ("simulation error: exceeded 1000 singular-channel "
+                                        "resamples in one trial\n")
+        assert no_child_left()
+
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("fid, failing", [
         ("compare88", ("tdma", "random_bf")), ("compare88", ("rzf_quantized_B20", "tdma")),
@@ -625,8 +649,8 @@ class TestForkRule:
     @pytest.mark.parametrize("argv, forks", [
         pytest.param(["sweep", "--M", "4", "--B", "10", "--path", "brute", "--snr", "10:10:10"],
                      1, id="brute-sweep"),
-        # one figure share, and the search at 10 dB (B = 10) on the calling
-        # process; the forked share's search forks in that child
+        # one figure share, and the stack at 10 dB (B = 10) on the calling
+        # process; the forked share's stack forks in that child
         pytest.param(["figure", "compare44", "--path", "brute", "--snr", "0:5:10"], 2,
                      id="brute-figure"),
         pytest.param(["sweep", "--M", "4", "--B", "10", "--path", "fast", "--snr", "0:10:10"],
@@ -663,7 +687,7 @@ class TestForkRule:
         cfg = SimConfig(M=4, K=4, snr_grid_db=(0.0, 10.0), policy=ScalingPolicy.fixed(10),
                         path=BRUTE_FORCE, trials=8)
         want = mu_throughput(cfg)
-        assert len(calls) == 2  # one search per point forks
+        assert len(calls) == 2  # one stack per point forks
         calls.clear()
         got = []
         thread = threading.Thread(target=lambda: got.append(mu_throughput(cfg)))
@@ -839,8 +863,8 @@ class TestModuleEntryPoint:
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random lazily; RngStream registers its Philox
         # key with numpy.random only when the first stream is built.  The
-        # figures and the brute path load their shares (fork and pipe) when
-        # they first run, and nothing loads concurrent.futures.
+        # engines and figures load their shares (fork and pipe) when they
+        # first run, and nothing loads concurrent.futures.
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, fbmimo.cli; print([m for m in "
              "('numpy.random', 'concurrent.futures', 'fbmimo.shares') if m in sys.modules])"],

@@ -25,7 +25,9 @@ reruns every golden output and prints, per file that differs, the number of
 cells off by more than rtol 1e-12 in each column and the curves they are
 in, and the number of cells that are not byte-identical, so that it lists
 a file even where every cell is within 1e-12.  It writes nothing, so it
-shows which cells a change moves before any file is regenerated.
+shows which cells a change moves before any file is regenerated.  It exits
+0 when every output is byte-identical, 1 when every difference is within
+rtol 1e-12, and 2 when a cell is beyond it or a validate line moved.
 """
 
 import argparse
@@ -33,6 +35,7 @@ import contextlib
 import csv
 import io
 import math
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -60,6 +63,7 @@ GOLDEN = {
                             "--snr", "0:10:20", "--trials", "40"],
     "table_quantizer.csv": ["table", "quantizer", "--M", "4", "--B", "2..16"],
 }
+_WITHIN = "none beyond rtol 1e-12"
 
 
 def _same_cell(got: str, want: str) -> bool:
@@ -93,7 +97,7 @@ def _csv_differences(got: list[list[str]], want: list[list[str]]) -> str | None:
     if not inexact:
         return None
     counts = ", ".join(f"{name} {n}" for name, n in columns.items())
-    beyond = f"{counts}; curves {', '.join(curves)}" if columns else "none beyond rtol 1e-12"
+    beyond = f"{counts}; curves {', '.join(curves)}" if columns else _WITHIN
     return f"{beyond}; {inexact} not byte-identical"
 
 
@@ -115,6 +119,14 @@ def diff_golden() -> list[str]:
     if moved or len(stdout.getvalue().splitlines()) != len(want):
         lines.append(f"validate_bounds.txt: lines {', '.join(moved) or 'added or removed'}")
     return lines
+
+
+def diff_status(lines: list[str]) -> int:
+    """--diff's exit status for diff_golden's lines: 0 if every output is
+    byte-identical, 1 if every difference is within rtol 1e-12, else 2."""
+    if not lines:
+        return 0
+    return 1 if all(f": {_WITHIN};" in line for line in lines) else 2
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -149,6 +161,13 @@ def test_differences_are_counted_per_column():
     assert _csv_differences(got, want) == (
         "throughput_bps_hz 1, trials 1; curves a, b; 3 not byte-identical")
     assert _csv_differences(got[:2], want).startswith("header or row count")
+    # --diff's exit status
+    assert diff_status([]) == 0
+    within = f"a.csv: {_csv_differences(last_bit, want)}"
+    assert diff_status([within, within]) == 1
+    assert diff_status([within, f"b.csv: {_csv_differences(got, want)}"]) == 2
+    assert diff_status([f"b.csv: {_csv_differences(got[:2], want)}"]) == 2
+    assert diff_status([within, "validate_bounds.txt: lines multiplexing_gain"]) == 2
 
 
 if __name__ == "__main__":
@@ -158,4 +177,6 @@ if __name__ == "__main__":
                              "and its cells that are not byte-identical")
     parser.parse_args()
     print(VERSIONS)
-    print("\n".join(diff_golden()) or "every golden output matches")
+    found = diff_golden()
+    print("\n".join(found) or "every golden output matches")
+    sys.exit(diff_status(found))

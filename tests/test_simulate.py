@@ -869,15 +869,31 @@ class TestStackedEnginesMatchOneTrialAtATime:
 
 
 class TestWorkerCount:
-    def test_size_gate_cpus_trials_and_memory_budget(self):
-        assert sim._workers(4, 8, 300, 2) == 1  # below the size gate
-        assert sim._workers(4, 9, 300, 2) == 2
-        assert sim._workers(4, 10, 300, 2) == 2
-        assert sim._workers(6, 12, 5, 7) == 5  # no more shares than trials
-        assert sim._workers(4, 10, 1, 2) == 1
-        assert sim._workers(4, 17, 300, 8) == 2  # 2 x 2^19 entries fill the budget
-        assert sim._workers(4, 18, 300, 8) == 1
-        assert sim._workers(4, 30, 300, 8) == 1
+    def test_size_gate_cpus_and_memory_budget(self):
+        assert sim._workers(4, 8, 2) == 1  # below the size gate
+        assert sim._workers(4, 9, 2) == 2
+        assert sim._workers(4, 10, 2) == 2
+        assert sim._workers(6, 12, 7) == 7
+        assert sim._workers(4, 17, 8) == 2  # 2 x 2^19 entries fill the budget
+        assert sim._workers(4, 18, 8) == 1
+        assert sim._workers(4, 30, 8) == 1
+
+    @pytest.mark.parametrize("n_trials, workers, runs", [(5, 7, [5]), (1, 2, [1]),
+                                                         (1030, 3, [3, 3])])
+    def test_no_more_runs_than_a_stack_has_trials(self, n_trials, workers, runs, monkeypatch):
+        def rows(workers):
+            return sim._trials(n_trials, 3, lambda gens: (np.array([g.random() for g in gens]),),
+                               lambda u: (u, ()), workers)[0]
+
+        want, used, run_in_shares = rows(1), [], shares.run_in_shares
+
+        def spy(work, parts):
+            used.append(len(parts))
+            return run_in_shares(work, parts)
+
+        monkeypatch.setattr(shares, "run_in_shares", spy)
+        np.testing.assert_array_equal(rows(workers), want)
+        assert used == runs and no_child_left()
 
 
 _BRUTE_CASES = {
@@ -890,14 +906,14 @@ _BRUTE_CASES = {
 class TestWorkerCountInvariance:
     """The brute path gives the serial run's arrays whatever the share count.
 
-    37 trials in blocks of 16, 16 and 5, so 7 shares are also capped at the
+    37 trials in blocks of 16, 16 and 5, so 7 runs are also capped at the
     5 trials of the last block.  The size gate is lowered so that these small
-    codebooks are searched in shares.
+    codebooks are searched in runs.
     """
 
     @pytest.fixture
     def workers_used(self, monkeypatch):
-        """(trials, shares) of each brute search, and a fork happened."""
+        """(trials, runs) of each stack, and the forks made."""
         monkeypatch.setattr(sim, "_BLOCK", 16)
         monkeypatch.setattr(sim, "_SHARE_MIN_ENTRIES", 0)
         used, forks = [], []
@@ -905,7 +921,7 @@ class TestWorkerCountInvariance:
 
         def spy(work, parts):
             runs = run_in_shares(work, parts)
-            used.append((sum(len(h_hat) for h_hat, _, _ in runs), len(parts)))
+            used.append((sum(len(rows) for rows, _, _ in runs), len(parts)))
             return runs
 
         def counted_fork():
@@ -914,8 +930,8 @@ class TestWorkerCountInvariance:
 
         monkeypatch.setattr(shares, "run_in_shares", spy)
         monkeypatch.setattr(os, "fork", counted_fork)
-        yield used
-        assert forks and no_child_left()
+        yield used, forks
+        assert no_child_left()
 
     def _at(self, monkeypatch, cpus, run):
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
@@ -934,29 +950,34 @@ class TestWorkerCountInvariance:
         engine, kw = _BRUTE_CASES[case]
         cfg = SimConfig(**{**dict(M=3, K=3, snr_grid_db=(0.0, 15.0), policy=B4, trials=37,
                                   seed=19), **kw})
+        used, forks = workers_used
         want = self._at(monkeypatch, 1, lambda: engine(cfg))
-        assert {w for _, w in workers_used} == {1}
-        workers_used.clear()
+        assert {w for _, w in used} == {1} and not forks
+        used.clear()
         got = self._at(monkeypatch, cpus, lambda: engine(cfg))
         np.testing.assert_array_equal(got.mean_bps_hz, want.mean_bps_hz)
         np.testing.assert_array_equal(got.std_err, want.std_err)
         np.testing.assert_array_equal(got.resamples, want.resamples)
-        assert (16, cpus) in workers_used and (5, min(cpus, 5)) in workers_used
-        if singular:  # flagged subsets were redrawn through the shares too
-            assert want.resamples.sum() > 0
-            assert any(n not in (16, 5) for n, _ in workers_used)
+        # each stack splits once per point; a singular redraw stays in its
+        # run, so a forced-singular curve forks as often as a clean one
+        assert used == [(16, cpus), (16, cpus), (5, min(cpus, 5))] * 2
+        assert len(forks) == sum(w - 1 for _, w in used)
+        assert (want.resamples.sum() > 0) == singular
 
     @pytest.mark.parametrize("cpus", [2, 3, 7])
     def test_zf_statistics_equal_serial(self, cpus, monkeypatch, workers_used):
         def run():
             return sim.collect_zf_statistics(3, 4, 37, seed=19, path=BRUTE_FORCE)
 
+        used, forks = workers_used
         want = self._at(monkeypatch, 1, run)
+        used.clear()
         got = self._at(monkeypatch, cpus, run)
         for key in ("signal", "interference", "error_z"):
             np.testing.assert_array_equal(got[key], want[key])
         assert got["resamples"] == want["resamples"]
-        assert (16, cpus) in workers_used
+        assert used == [(16, cpus), (16, cpus), (5, min(cpus, 5))]
+        assert len(forks) == sum(w - 1 for _, w in used)
 
 
 class TestThreadedFailures:
