@@ -375,14 +375,15 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
     controls holds one row per control variate and control_means their
     exact means; a row that is constant is dropped.  The estimate is
     mean(rates) - beta . (mean(controls) - control_means), with beta the
-    least-squares fit of the centred rates on the k centred controls (by
-    the normal equations), and the std_err is the residuals' standard
-    deviation on n - 1 - k degrees of freedom over sqrt(n) (Glasserman,
-    Monte Carlo Methods in Financial Engineering, 2004, section 4.1).
-    Where the normal equations are singular, because two controls agree to
-    working precision, beta is the minimum-norm least-squares fit and k the
-    rank of the controls.  With no control left or fewer than k + 2
-    trials, the plain mean and std_err.
+    minimum-norm least-squares fit of the centred rates on the centred
+    controls, and the std_err is the residuals' standard deviation on
+    n - 1 - k degrees of freedom over sqrt(n), k the controls' rank
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
+    section 4.1).  The fit is orthogonal (SVD), not by the normal
+    equations, which lose digits where controls nearly agree (C1' and
+    R_zf at large B), so its residuals never exceed the centred rates.
+    With no control left or fewer than k + 2 trials, the plain mean and
+    std_err.
     """
     n = len(rates)
     bars = controls.mean(axis=-1)
@@ -394,13 +395,10 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
         return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     rate_bar = float(rates.mean())
     dy = rates - rate_bar
-    # unit-norm columns keep the normal equations well scaled when one
-    # control is far smaller than another (S is ~1e-17 at large B)
+    # unit-norm columns keep the fit well scaled when one control is far
+    # smaller than another (S is ~1e-17 at large B)
     design = dc[varies] / scale[varies, None]
-    try:
-        beta = np.linalg.solve(design @ design.T, design @ dy)
-    except np.linalg.LinAlgError:  # e.g. C1' and R_zf once sqrt(Z) < ~1e-10
-        beta, _, k, _ = np.linalg.lstsq(design.T, dy, rcond=None)
+    beta, _, k, _ = np.linalg.lstsq(design.T, dy, rcond=None)
     residual = dy - beta @ design
     shift = (bars - np.array(control_means, dtype=float))[varies] / scale[varies]
     return (rate_bar - float(beta @ shift),

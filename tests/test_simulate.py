@@ -401,6 +401,22 @@ class TestControlVariate:
             np.testing.assert_allclose(sim._regression_estimate(rates, duplicated, means), want,
                                        rtol=1e-12)
 
+    @pytest.mark.parametrize("B, snr_db", [(180, 20.0), (300, 40.0)])
+    def test_std_err_of_a_near_singular_fit_is_bounded_by_the_plain_one(self, B, snr_db):
+        # R_perf, C1' and D nearly agree at large B, so the fit is
+        # ill-conditioned but not singular.  A least-squares fit's residuals
+        # never exceed the plain deviations, so its std_err is at most the
+        # plain one times sqrt((n - 1) / (n - 1 - k)), k counting every control
+        cfg = _cfg(M=4, K=4, snr_grid_db=(snr_db,), policy=ScalingPolicy.fixed(B), trials=50,
+                   seed=42)
+        P = 10.0 ** (snr_db / 10.0)
+        values, means, _ = sim._trials(cfg.trials, cfg.seed,
+                                       lambda gens: sim._quantized_draw(gens, cfg, float(B)),
+                                       lambda *arrays: sim._gap_rates(cfg, P, float(B), *arrays))
+        n, k = cfg.trials, len(means)
+        plain = values[:, 0].std(ddof=1) / math.sqrt(n)
+        assert rate_gap(cfg).std_err[0] <= plain * math.sqrt((n - 1) / (n - 1 - k)) * (1 + 1e-9)
+
     def test_variance_cut_at_ten_db(self):
         # M=4, B=10, 10 dB: the control explains most of the variance
         cfg = _cfg(M=4, K=4, policy=ScalingPolicy.fixed(10), trials=3000)
