@@ -29,9 +29,8 @@ from .numerics import (LOG2E, draw_rows, redraw_streams, sample_complex_gaussian
                        sample_isotropic_unit)
 
 # A codebook's draw and search hold about 40 bytes per entry (see
-# simulate._SHARE_BUDGET_ENTRIES, which bounds the codebooks that a
-# stack's runs hold at once), so M * 2^B entries up to 2^24 take about
-# 640 MiB.
+# simulate._SHARE_BUDGET_ENTRIES, the bound over a stack's runs), so
+# M * 2^B entries up to 2^24 take about 640 MiB.
 MAX_CODEBOOK_ENTRIES = 1 << 24
 
 _LN2 = math.log(2.0)

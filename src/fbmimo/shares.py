@@ -1,12 +1,13 @@
 """Indexed jobs run in shares, one process per share.
 
 The package's one way to use several CPUs: a figure's curves and the runs
-of a brute stack's trials (simulate._trials) both run here.  A child gets its jobs by os.fork,
-which copies them as they are, so a job may be any callable; only results
-and exceptions are pickled, back to the process that forked.  A fork
-copies only the calling thread, and a lock another thread held at the
-fork stays held in the child, so where os.fork is missing or another
-thread runs, every job runs on the calling process instead.
+of a brute stack's trials (simulate._trials) both run here.  A child gets
+its jobs by os.fork, which copies them as they are, so a job may be any
+callable; only results and exceptions are pickled, back to the process
+that forked.  A fork copies only the calling thread, and a lock another
+thread held at the fork stays held in the child, so where os.fork is
+missing or another thread runs, every job runs on the calling process
+instead.
 """
 
 from __future__ import annotations

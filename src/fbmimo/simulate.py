@@ -379,11 +379,10 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
     controls, and the std_err is the residuals' standard deviation on
     n - 1 - k degrees of freedom over sqrt(n), k the controls' rank
     (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
-    section 4.1).  The fit is orthogonal (SVD), not by the normal
-    equations, which lose digits where controls nearly agree (C1' and
-    R_zf at large B), so its residuals never exceed the centred rates.
-    With no control left or fewer than k + 2 trials, the plain mean and
-    std_err.
+    section 4.1).  The fit is by SVD, which keeps its digits where
+    controls nearly agree (C1' and R_zf at large B), so its residuals
+    never exceed the centred rates.  With no control left or fewer than
+    k + 2 trials, the plain mean and std_err.
     """
     n = len(rates)
     bars = controls.mean(axis=-1)
