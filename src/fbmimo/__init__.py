@@ -18,7 +18,7 @@ from .bounds import (MisoReference, ScalingPolicy, ThroughputCurve, ceiling_fixe
                      rate_gap_bound, rvq_bit_penalty, unitary_sum_rate,
                      zf_dpc_power_offset_db, zf_perfect_sum_rate)
 from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataError,
-                     ResampleLimitError, SingularMatrixError)
+                     SingularMatrixError)
 from .numerics import (RngStream, haar_unitary, invert, sample_complex_gaussian,
                        sample_isotropic_unit)
 from .precoder import rzf_beamformers, zf_beamformers

@@ -94,8 +94,7 @@ class ThroughputCurve:
     """Mean throughput (bps/Hz) versus SNR with per-point error bars.
 
     ``b_bits`` records the feedback bits actually used at each point (NaN
-    where not applicable) and ``resamples`` counts discarded singular
-    draws, both of which land in the CSV output.
+    where not applicable); it lands in the CSV output.
     """
 
     label: str
@@ -109,7 +108,6 @@ class ThroughputCurve:
     precoder: str
     seed: int
     b_bits: np.ndarray = field(default=None)
-    resamples: np.ndarray = field(default=None)
 
     def __post_init__(self):
         snr = np.asarray(self.snr_db, dtype=float)
@@ -121,19 +119,21 @@ class ThroughputCurve:
             object.__setattr__(self, "b_bits", np.full(snr.shape, np.nan))
         else:
             object.__setattr__(self, "b_bits", np.asarray(self.b_bits, dtype=float))
-        if self.resamples is None:
-            object.__setattr__(self, "resamples", np.zeros(snr.shape, dtype=int))
-        else:
-            object.__setattr__(self, "resamples", np.asarray(self.resamples, dtype=int))
         if snr.ndim != 1 or len(snr) == 0:
             raise DomainError("snr_db must be a non-empty 1-D grid")
         if np.any(np.diff(snr) <= 0.0):
             raise DomainError("snr_db must be strictly increasing")
         if np.any(self.std_err < 0.0):
             raise DomainError("std_err must be nonnegative")
-        for name in ("mean_bps_hz", "std_err", "trials", "b_bits", "resamples"):
+        for name in ("mean_bps_hz", "std_err", "trials", "b_bits"):
             if getattr(self, name).shape != snr.shape:
                 raise DomainError(f"{name} must match the snr_db grid shape")
+
+    @property
+    def resamples(self) -> np.ndarray:
+        """Zeros, the CSV's resamples column, which stays for the schema's
+        sake: no trial is redrawn, a singular build raises instead."""
+        return np.zeros(self.snr_db.shape, dtype=int)
 
 
 def snr_db_to_linear(snr_db) -> np.ndarray:

@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as bd
+from . import numerics
 from . import simulate as sim
 from .bounds import ScalingPolicy, ThroughputCurve
-from .errors import CapacityError, ConfigError, DomainError, ResampleLimitError
+from .errors import CapacityError, ConfigError, DomainError, SingularMatrixError
 from .precoder import RZF, ZF
 from .quantizer import (error_upper_bound, expected_error, expected_neg_log2_error,
                         expected_optimal_error)
@@ -300,6 +301,7 @@ def _run_figure(spec: ExperimentSpec) -> int:
 
     simulated = sum(isinstance(entry, _Curve) for entry in entries)
     count = sim._cpus() if simulated > 1 else 1
+    numerics._register_key()  # imports numpy.random once, not again in each forked share
     curves = [c for part in run_in_shares(curves_of, _shares(entries, count)) for c in part]
     _write_csv(spec.out, spec.figure_id, CSV_COLUMNS, curves_to_rows(spec.figure_id, curves))
     return 0
@@ -555,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ResampleLimitError as exc:
+    except SingularMatrixError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 4
 

@@ -6,15 +6,8 @@ class DomainError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """A matrix is singular (or numerically indistinguishable from singular).
-
-    For a stack of matrices ``rows`` marks the singular ones; None means
-    the whole input.
-    """
-
-    def __init__(self, message: str, rows=None):
-        super().__init__(message)
-        self.rows = rows
+    """A matrix is singular (or numerically indistinguishable from singular),
+    or a drawn vector that must be normalised is zero."""
 
 
 class CapacityError(ValueError):
@@ -27,7 +20,3 @@ class ConfigError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few data points to carry out the requested estimate."""
-
-
-class ResampleLimitError(RuntimeError):
-    """A trial kept drawing singular channels past the resample budget."""

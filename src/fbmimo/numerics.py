@@ -98,19 +98,6 @@ def draw_rows(rng, draw) -> np.ndarray:
     return out
 
 
-def redraw_streams(rng, bad: np.ndarray, values: np.ndarray, sample) -> np.ndarray:
-    """Replace values by sample(streams) for the streams with a flagged entry.
-
-    One generator redraws everything; for a list, row t of ``values`` is
-    redrawn from rng[t] when any entry of row t of ``bad`` is set.
-    """
-    if not isinstance(rng, (list, tuple)):
-        return sample(rng)
-    rows = np.flatnonzero(bad.reshape(len(rng), -1).any(axis=1))
-    values[rows] = sample([rng[t] for t in rows])
-    return values
-
-
 def sample_complex_gaussian(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Draw CN(0, 1) entries; shape ``(dim,)`` or ``(size, dim)``."""
     if dim < 1:
@@ -119,18 +106,31 @@ def sample_complex_gaussian(dim: int, rng, size: int | None = None) -> np.ndarra
     # the real parts, then the imaginary parts, in one call per stream
     parts = draw_rows(rng, lambda gen: gen.standard_normal((2, *shape)))
     re, im = np.moveaxis(parts, -1 - len(shape), 0)
-    return (re + 1j * im) * _SQRT_HALF
+    out = np.empty(re.shape, dtype=complex)
+    pairs = out.view(float).reshape(*re.shape, 2)  # each entry's real and imaginary part
+    np.multiply(re, _SQRT_HALF, out=pairs[..., 0])
+    np.multiply(im, _SQRT_HALF, out=pairs[..., 1])
+    return out
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """The complex array v, scaled in place to unit norm along its last axis.
+
+    Raises SingularMatrixError for a zero row, which has no direction.  The
+    norm is np.linalg.norm's, and each part is multiplied by its reciprocal,
+    which is what numpy's division of a complex by a real computes.
+    """
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not norms.all():  # probability zero for a drawn vector
+        raise SingularMatrixError("a drawn vector is zero and has no direction")
+    pairs = v.view(float).reshape(*v.shape, 2)
+    np.multiply(pairs, 1.0 / norms[..., None], out=pairs)
+    return v
 
 
 def sample_isotropic_unit(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Draw unit vectors uniform on the complex sphere in C^dim."""
-    v = sample_complex_gaussian(dim, rng, size)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    while np.any(norms == 0.0):  # probability-zero guard
-        v = redraw_streams(rng, norms == 0.0, v,
-                           lambda streams: sample_complex_gaussian(dim, streams, size))
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / norms
+    return unit_rows(sample_complex_gaussian(dim, rng, size))
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -156,13 +156,9 @@ def _ill_conditioned(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
 def invert(a: np.ndarray) -> np.ndarray:
     """Invert a square complex matrix, or a stack of them, by partial-pivot LU.
 
-    Raises SingularMatrixError, rather than return garbage, for a matrix
-    whose condition number kappa_F(A) = ||A||_F ||A^-1||_F is not below
-    1e12, or whose LU meets an exact zero pivot.  np.linalg.inv rejects a
-    whole stack for one exact zero pivot; then the slogdet sign, 0 just
-    for those matrices, names them, and the stack is inverted again with
-    them replaced by I, so one raise flags every bad matrix.  For a stack
-    the error's ``rows`` marks the flagged matrices.
+    Raises SingularMatrixError, rather than return garbage, if a matrix's
+    condition number kappa_F(A) = ||A||_F ||A^-1||_F is not below 1e12, or
+    its LU meets an exact zero pivot.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -170,13 +166,8 @@ def invert(a: np.ndarray) -> np.ndarray:
     # numpy's inverse gives the same bits as solving on scipy's LU factors
     try:
         inv = np.linalg.inv(a)
-        zero_pivot = False
-    except np.linalg.LinAlgError:
-        zero_pivot = np.linalg.slogdet(a)[0] == 0
-        inv = np.linalg.inv(np.where(zero_pivot[..., None, None], np.eye(a.shape[-1]), a))
-    singular = zero_pivot | _ill_conditioned(a, inv)
-    if np.any(singular):
-        raise SingularMatrixError("matrix is singular to working precision",
-                                  rows=singular if a.ndim > 2 else None)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        inv = None
+    if inv is None or np.any(_ill_conditioned(a, inv)):
+        raise SingularMatrixError("matrix is singular to working precision")
     return inv
-

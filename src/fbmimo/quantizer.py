@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .numerics import (LOG2E, draw_rows, redraw_streams, sample_complex_gaussian,
-                       sample_isotropic_unit)
+from .numerics import (LOG2E, draw_rows, sample_complex_gaussian, sample_isotropic_unit,
+                       unit_rows)
 
 # A codebook's draw and search hold about 40 bytes per entry (see
 # simulate._SHARE_BUDGET_ENTRIES, the bound over a stack's runs), so
@@ -231,18 +231,8 @@ def sample_quantized_pair(M: int, B: float, rng, size: int) -> tuple:
     h_hat = sample_isotropic_unit(M, rng, size=size)
     z = sample_error(M, B, rng, size=size)
     g = sample_complex_gaussian(M, rng, size=size)
-
-    def residual(g):
-        proj = np.einsum("...m,...m->...", h_hat.conj(), g)
-        perp = g - proj[..., None] * h_hat
-        return perp, np.linalg.norm(perp, axis=-1, keepdims=True)
-
-    perp, norms = residual(g)
-    while np.any(norms == 0.0):  # probability-zero guard
-        g = redraw_streams(rng, norms == 0.0, g,
-                           lambda streams: sample_complex_gaussian(M, streams, size=size))
-        perp, norms = residual(g)
-    s = perp / norms
+    proj = np.einsum("...m,...m->...", h_hat.conj(), g)
+    s = unit_rows(g - proj[..., None] * h_hat)
     h_dir = np.sqrt(1.0 - z)[..., None] * h_hat + np.sqrt(z)[..., None] * s
     return h_dir, h_hat, z
 

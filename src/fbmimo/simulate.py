@@ -13,10 +13,14 @@ random codebook per user per trial (integer B with M * 2^B <= 2^24;
 non-integer B is rounded up), while fast_decomposition samples the error
 statistic directly and is exact in distribution at any real B.  A stack
 of large brute codebooks is split into contiguous runs of trials, one per
-CPU the process may use, and each run draws, searches, redraws and
-evaluates its trials in its own share (fbmimo.shares); a trial still
-draws only from its own stream, so the result is bit-identical whatever
-the share count.  Everything else runs on the calling process.
+CPU the process may use, and each run draws, searches and evaluates its
+trials in its own share (fbmimo.shares); a trial still draws only from
+its own stream, so the result is bit-identical whatever the share count.
+Everything else runs on the calling process.
+
+A beamformer build that is numerically singular (numerics.invert) raises
+SingularMatrixError, which names the curve and the SNR point; on the
+channels the engines draw it has a probability of about 1e-22 per build.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .bounds import (ScalingPolicy, ThroughputCurve, _ergodic_rate, random_bf_sum_rate,
                      unitary_sum_rate, zf_perfect_sum_rate)
-from .errors import CapacityError, ConfigError, ResampleLimitError, SingularMatrixError
+from .errors import CapacityError, ConfigError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
 from .quantizer import (_enumerable_bits, expected_error, generate_codebook, quantize,
@@ -41,7 +45,6 @@ FAST_DECOMPOSITION = "fast_decomposition"
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 42
 
-_MAX_RESAMPLES = 1000
 _BLOCK = 1024  # trials drawn and evaluated as one stack
 # Brute-path runs are sized by a codebook's M * 2^B complex entries.  A
 # fork has a fixed cost, which small codebooks do not repay: on 2 CPUs,
@@ -182,47 +185,26 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _resampled(gens: list, draw, evaluate) -> tuple[np.ndarray, tuple, int]:
-    """evaluate(*draw(gens)), where a trial whose beamformer build is
-    singular draws afresh from its own stream: the per-trial rows, their
-    controls' exact means and the number of discarded draws."""
-    draws = draw(gens)
-    discarded = np.zeros(len(gens), dtype=int)
-    while True:
-        try:
-            return (*evaluate(*draws), int(discarded.sum()))
-        except SingularMatrixError as err:
-            rows = np.arange(len(gens)) if err.rows is None else np.flatnonzero(err.rows)
-        discarded[rows] += 1
-        if discarded.max() >= _MAX_RESAMPLES:
-            raise ResampleLimitError(
-                f"exceeded {_MAX_RESAMPLES} singular-channel resamples in one trial")
-        for values, fresh in zip(draws, draw([gens[t] for t in rows])):
-            values[rows] = fresh
-
-
 def _trials(n_trials: int, seed: int, draw, evaluate,
-            workers: int = 1) -> tuple[np.ndarray, tuple, int]:
-    """Per-trial rows, their controls' exact means and the discarded draws
-    over trials 0..n_trials-1, drawn and evaluated as stacks of at most
-    _BLOCK trials.  Each stack is split into at most `workers` contiguous
-    runs, and each run is drawn, redrawn and evaluated (_resampled) in its
-    own share (fbmimo.shares), the first on the calling process; a trial
-    reads only its own stream, so the rows do not depend on the split.
-    evaluate returns (rows, means) for a run; the means depend on the
-    point alone, so every run's are the same."""
+            workers: int = 1) -> tuple[np.ndarray, tuple]:
+    """Per-trial rows and their controls' exact means over trials
+    0..n_trials-1, drawn and evaluated as stacks of at most _BLOCK trials.
+    Each stack is split into at most `workers` contiguous runs, and each
+    run is drawn and evaluated in its own share (fbmimo.shares), the first
+    on the calling process; a trial reads only its own stream, so the rows
+    do not depend on the split.  evaluate returns (rows, means) for a run;
+    the means depend on the point alone, so every run's are the same."""
     from .shares import run_in_shares  # here, so that importing fbmimo.cli never loads it
-    values, discarded = [], 0
+    values = []
     for start in range(0, n_trials, _BLOCK):
         gens = trial_streams(seed, start, min(start + _BLOCK, n_trials))
         runs = min(workers, len(gens))
         edges = [len(gens) * w // runs for w in range(runs + 1)]
-        for rows, means, n in run_in_shares(
-                lambda w: _resampled(gens[edges[w]:edges[w + 1]], draw, evaluate),
+        for rows, means in run_in_shares(
+                lambda w: evaluate(*draw(gens[edges[w]:edges[w + 1]])),
                 [[w] for w in range(runs)]):
             values.append(rows)
-            discarded += n
-    return np.concatenate(values), means, discarded
+    return np.concatenate(values), means
 
 
 # Each engine is a draw(gens, cfg, B) -> arrays with one row per trial and
@@ -409,25 +391,27 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
     """Sweep the SNR grid and average the engine's per-trial rates.
 
     Every point's bits are resolved before the first draw, so a grid with
-    a point the path cannot take fails before any is computed.  Every
-    trial retries its draw while the beamformer build is singular and the
-    discarded draws are counted per point.  A point whose mean or std_err
-    is not finite raises ConfigError, in place of numpy's overflow,
-    invalid-value and divide-by-zero warnings.  evaluate returns the rows
-    of rate and k controls at power P and resolved bits B, and the
-    controls' exact means; each point reports the regression estimate on
-    them, or with k = 0 the plain mean.
+    a point the path cannot take fails before any is computed.  A singular
+    build raises SingularMatrixError naming the curve and the point.  A
+    point whose mean or std_err is not finite raises ConfigError, in place
+    of numpy's overflow, invalid-value and divide-by-zero warnings.
+    evaluate returns the rows of rate and k controls at power P and
+    resolved bits B, and the controls' exact means; each point reports the
+    regression estimate on them, or with k = 0 the plain mean.
     """
     bits = grid_bits(cfg)
     brute = cfg.policy is not None and cfg.path == BRUTE_FORCE  # the draw searches codebooks
-    means, errs, resamples = [], [], []
+    means, errs = [], []
     for snr_db, B in zip(cfg.snr_grid_db, bits):
         P = 10.0 ** (snr_db / 10.0)
         workers = _workers(cfg.M, B, _cpus()) if brute else 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values, control_means, discarded = _trials(
-                cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
-                lambda *arrays: evaluate(cfg, P, B, *arrays), workers)
+            try:
+                values, control_means = _trials(
+                    cfg.trials, cfg.seed, lambda gens: draw(gens, cfg, B),
+                    lambda *arrays: evaluate(cfg, P, B, *arrays), workers)
+            except SingularMatrixError as err:
+                raise SingularMatrixError(f"{label} at SNR {snr_db} dB: {err}") from None
             # each column contiguous, so its sums run in one order for every k
             columns = np.ascontiguousarray(values.reshape(cfg.trials, -1).T)
             mean, err = _regression_estimate(columns[0], columns[1:], control_means)
@@ -436,14 +420,13 @@ def _curve(cfg: SimConfig, label: str, draw, evaluate, policy: str | None = None
                               "a rate or beam is not finite")
         means.append(mean)
         errs.append(err)
-        resamples.append(discarded)
     if policy is None:
         policy = "perfect" if cfg.policy is None else cfg.policy.describe()
     return ThroughputCurve(
         label=label, snr_db=np.array(cfg.snr_grid_db), mean_bps_hz=np.array(means),
         std_err=np.array(errs), trials=np.full(len(cfg.snr_grid_db), cfg.trials),
         M=cfg.M, K=cfg.K, policy=policy, precoder=precoder or cfg.precoder, seed=cfg.seed,
-        b_bits=np.array(bits), resamples=np.array(resamples))
+        b_bits=np.array(bits))
 
 
 def _require_square(cfg: SimConfig) -> None:
@@ -469,9 +452,7 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
       codebook is unitarily invariant), independent of every ||h_j||^2,
       and ZF beams depend only on row directions, so C1' has the law of the
       perfect-CSIT ZF sum rate, with mean bounds.zf_perfect_sum_rate(P, M).
-      For ZF these are the rate's own beams.  RZF builds them too, so an
-      RZF point with B > 0 redraws a trial whose quantized directions are
-      singular, as ZF does.
+      For ZF these are the rate's own beams; RZF builds them too.
     - B = 0: the sum rate on Q = U V^H, the unitary nearest the rate's own
       beam matrix U S V^H.  A one-word codebook carries no information, so
       on both paths Q is independent of H, each user's gain on its own
@@ -481,13 +462,11 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     D = sum_i log2(1 + (P/M) ||h_i||^2) reads only the drawn channel gains,
     each Gamma(M, 1), so its mean is K E[log2(1 + (P/M) Gamma(M, 1))].
     R_zf, the perfect-CSIT ZF sum rate on the trial's own H, has mean
-    bounds.zf_perfect_sum_rate(P, M); it inverts H, so a quantized-ZF
-    point redraws a trial whose H or quantized directions are singular,
-    as rate_gap does.  RZF points go without R_zf, which would cost a ZF
-    build of H for little (1.0-1.25x).
+    bounds.zf_perfect_sum_rate(P, M).  RZF points go without R_zf, which
+    would cost a ZF build of H for little (1.0-1.25x).
 
     Perfect-CSIT ZF points are plain means; perfect-CSIT RZF points use
-    R_zf and D, and so redraw the trials perfect-CSIT ZF redraws.
+    R_zf and D.
     """
     _require_square(cfg)
     if cfg.policy is None:
@@ -505,9 +484,7 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
     (regression) estimates on the quantized arm's S, C1' or polar rate and
     D (see mu_throughput) and, under ZF, on the perfect arm R_perf itself,
     with mean bounds.zf_perfect_sum_rate(P, M); the RZF perfect arm has no
-    exact mean and is no control.  Both arms' builds can be singular under
-    ZF, and an RZF point with B > 0 builds ZF beams of h_hat for C1', so
-    the trials redrawn are those of quantized ZF, or of quantized RZF.
+    exact mean and is no control.
     """
     _require_square(cfg)
     if cfg.policy is None:
@@ -560,7 +537,7 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
 
     Runs the full K=M pipeline and records, per trial, the direction
     signal gain |h_dir_0^H v_0|^2, one cross gain |h_dir_1^H v_0|^2, and
-    user 1's quantization error Z as drawn, plus the singular-resample count.
+    user 1's quantization error Z as drawn.
     """
     B = _codebook_bits(B) if path == BRUTE_FORCE else float(B)
     cfg = SimConfig(M=M, K=M, snr_grid_db=(0.0,), path=path)  # a draw reads M, K and path
@@ -571,11 +548,10 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
         return np.stack([np.abs(_vdot_rows(dirs[:, 0], v0)) ** 2,
                          np.abs(_vdot_rows(dirs[:, 1], v0)) ** 2, z[:, 1]], axis=-1), ()
 
-    vals, _, resamples = _trials(n_trials, seed, lambda gens: _quantized_draw(gens, cfg, B),
-                                 statistics, _workers(M, B, _cpus()) if path == BRUTE_FORCE else 1)
+    vals, _ = _trials(n_trials, seed, lambda gens: _quantized_draw(gens, cfg, B),
+                      statistics, _workers(M, B, _cpus()) if path == BRUTE_FORCE else 1)
     return {
         "signal": vals[:, 0],
         "interference": vals[:, 1],
         "error_z": vals[:, 2],
-        "resamples": resamples,
     }

@@ -33,6 +33,20 @@ def optimal_error_cdf(z, M: int, B: float):
         return np.minimum(1.0, np.exp(B * math.log(2.0) + (M - 1) * np.log(np.asarray(z, float))))
 
 
+class ZeroNormals:
+    """A generator whose standard normals are all zero; every other draw is
+    the wrapped generator's."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+
 def no_child_left() -> bool:
     """True if this process has no child, not even an unreaped one."""
     try:

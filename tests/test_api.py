@@ -20,8 +20,7 @@ from fbmimo.numerics import RngStream
 # without them: collect_zf_statistics, whose only other callers are tests,
 # and rvq_bit_penalty, which acceptance test_10 also reads.
 PUBLIC = {
-    "CapacityError", "ConfigError", "DomainError", "InsufficientDataError",
-    "ResampleLimitError", "SingularMatrixError",
+    "CapacityError", "ConfigError", "DomainError", "InsufficientDataError", "SingularMatrixError",
     "MisoReference", "ScalingPolicy", "ThroughputCurve", "ceiling_fixed_B", "feedback_bits",
     "fit_multiplexing_gain", "horizontal_offset_db", "miso_reference", "mux_gain_prediction",
     "random_bf_sum_rate", "rate_gap_bound", "rvq_bit_penalty", "unitary_sum_rate",

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fbmimo import simulate
+from fbmimo import numerics, simulate
 from fbmimo.bounds import ScalingPolicy, zf_perfect_sum_rate
 from fbmimo.cli import (CSV_COLUMNS, FIGURE_IDS, build_spec, curves_to_rows, main,
                         parse_bit_range, parse_snr_grid)
@@ -18,7 +18,7 @@ from fbmimo.errors import ConfigError, DomainError, SingularMatrixError
 from fbmimo.quantizer import expected_error, expected_neg_log2_error
 from fbmimo.shares import run_in_shares
 from fbmimo.simulate import BRUTE_FORCE, FAST_DECOMPOSITION, SimConfig, mu_throughput
-from helpers import no_child_left
+from helpers import ZeroNormals, no_child_left
 
 
 def _blas_env(**extra):
@@ -525,7 +525,8 @@ class TestFigureShares:
 
     def test_singular_curve_in_a_forked_share_is_exit_4(self, monkeypatch, capsys):
         # zf_beamformers is singular everywhere serially, and only off the
-        # calling process with two shares; the stderr line is the same
+        # calling process with two shares, whose forked share runs
+        # zf_perfect; the stderr line is the same
         argv = ["figure", "fixed5x5", "--snr", "0:5:0", "--trials", "1", "--out", "-"]
         parent = os.getpid()
 
@@ -541,13 +542,11 @@ class TestFigureShares:
             monkeypatch.setattr(simulate, "_cpus", lambda: count)
             assert main(argv) == 4
             lines.append(capsys.readouterr().err)
-        assert lines[0] == lines[1] == ("simulation error: exceeded 1000 singular-channel "
-                                        "resamples in one trial\n")
+        assert lines[0] == lines[1] == "simulation error: zf_perfect at SNR 0.0 dB: forced\n"
         assert no_child_left()
 
     def test_singular_brute_run_in_a_forked_share_is_exit_4(self, monkeypatch, capsys):
-        # as above, for a brute sweep: its second run redraws, and gives up,
-        # in a forked share
+        # as above, for a brute sweep: its second run, in a forked share, raises
         argv = ["sweep", "--M", "3", "--B", "4", "--path", "brute", "--snr", "0:5:0",
                 "--trials", "2", "--out", "-"]
         parent = os.getpid()
@@ -565,8 +564,7 @@ class TestFigureShares:
             monkeypatch.setattr(simulate, "_cpus", lambda: count)
             assert main(argv) == 4
             lines.append(capsys.readouterr().err)
-        assert lines[0] == lines[1] == ("simulation error: exceeded 1000 singular-channel "
-                                        "resamples in one trial\n")
+        assert lines[0] == lines[1] == "simulation error: zf_quantized at SNR 0.0 dB: forced\n"
         assert no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2, 3])
@@ -696,7 +694,6 @@ class TestForkRule:
         assert not thread.is_alive() and not calls and no_child_left()
         np.testing.assert_array_equal(got[0].mean_bps_hz, want.mean_bps_hz)
         np.testing.assert_array_equal(got[0].std_err, want.std_err)
-        np.testing.assert_array_equal(got[0].resamples, want.resamples)
 
 
 class TestValidateCommand:
@@ -738,16 +735,29 @@ class TestExitCodes:
         assert main(["table", "quantizer", "--M", "4", "--B", "3",
                      "--out", str(tmp_path / "missing" / "t.csv")]) == 3
 
-    def test_resample_budget_exhausted(self, monkeypatch, capsys):
+    def test_singular_build_is_exit_4(self, monkeypatch, capsys):
+        # one stderr line naming the curve and the point, and no CSV
         def always_singular(rows):
             raise SingularMatrixError("forced")
 
         monkeypatch.setattr("fbmimo.simulate.zf_beamformers", always_singular)
         code = main(["sweep", "--engine", "mu", "--M", "2", "--csit", "perfect",
-                     "--snr", "0:5:0", "--trials", "1", "--out", "-"])
-        err = capsys.readouterr().err
+                     "--snr", "0:5:5", "--trials", "1", "--out", "-"])
         assert code == 4
-        assert "resamples" in err and "Traceback" not in err
+        assert capsys.readouterr() == ("", "simulation error: zf_perfect at SNR 0.0 dB: forced\n")
+
+    @pytest.mark.parametrize("path", ["brute", "fast"])
+    def test_zero_norm_draw_is_exit_4(self, path, monkeypatch, capsys):
+        # every standard normal is zero, so the first codeword (brute) or
+        # quantized direction (fast) drawn has no direction
+        generator = numerics.RngStream.generator
+        monkeypatch.setattr(numerics.RngStream, "generator",
+                            lambda stream: ZeroNormals(generator(stream)))
+        code = main(["sweep", "--M", "2", "--B", "2", "--path", path, "--snr", "0:5:5",
+                     "--trials", "2", "--out", "-"])
+        assert code == 4
+        assert capsys.readouterr().err == ("simulation error: zf_quantized at SNR 0.0 dB: "
+                                           "a drawn vector is zero and has no direction\n")
 
     # the first M * 2^B over quantizer.MAX_CODEBOOK_ENTRIES at each M; it is
     # rejected before any codebook is drawn
@@ -871,6 +881,18 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(simulate._cpus() < 2, reason="a figure forks no share on 1 CPU")
+    def test_figure_imports_numpy_random_once(self):
+        # the calling process imports it before it forks a share, so no
+        # share imports it again
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "fbmimo.cli", "figure", "compare88",
+             "--trials", "2", "--snr", "0:10:10", "--out", "-"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert modules.count("numpy.random") == 1
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or simulate._cpus() < 2,
                         reason="threads are counted in /proc; OpenBLAS starts none on 1 CPU")

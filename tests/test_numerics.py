@@ -13,7 +13,7 @@ from fbmimo.errors import DomainError, SingularMatrixError
 from fbmimo.numerics import (RngStream, haar_unitary, invert, sample_complex_gaussian,
                              sample_isotropic_unit)
 from fbmimo.quantizer import expected_error
-from helpers import angle_sin2
+from helpers import ZeroNormals, angle_sin2
 
 
 def beta_fn(x: float, y: float) -> float:
@@ -117,6 +117,13 @@ class TestIsotropicUnit:
         v = sample_isotropic_unit(6, RngStream(2, 0).generator(), size=1000)
         np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
 
+    def test_zero_draw_raises(self):
+        # a zero vector has no direction; one zero row of a stack is enough
+        streams = [RngStream(2, 0).generator(), ZeroNormals(RngStream(2, 1).generator())]
+        for rng in (streams[1], streams):
+            with pytest.raises(SingularMatrixError, match="^a drawn vector is zero"):
+                sample_isotropic_unit(3, rng, size=2)
+
     def test_projection_is_beta(self):
         # |u^H w|^2 for independent isotropic u, w follows Beta(1, M-1)
         M = 4
@@ -186,18 +193,26 @@ class TestInvert:
 
 class TestNearSingular:
     """invert's near-singular flags.  They are no looser than the pivot
-    rule of lu_factor_flags, stay off on Gaussian stacks, and name every
-    bad matrix of a stack in one raise."""
+    rule of lu_factor_flags, stay off on Gaussian stacks, and a stack
+    raises when any of its matrices is flagged."""
 
     def _gaussian(self, rng, shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def _flags(self, a):
+    @staticmethod
+    def _raises(a):
         try:
             invert(a)
-        except SingularMatrixError as err:
-            return err.rows
-        return np.zeros(a.shape[:-2], dtype=bool)
+        except SingularMatrixError:
+            return True
+        return False
+
+    def _flags(self, a):
+        # each matrix inverted alone; the whole stack raises if any is flagged
+        lead = a.shape[:-2]
+        flags = np.array([self._raises(a[i]) for i in np.ndindex(lead)]).reshape(lead)
+        assert self._raises(a) == flags.any()
+        return flags
 
     @pytest.mark.parametrize("M", range(2, 9))
     def test_flags_match_lu_factor_on_random_stacks(self, M):
@@ -243,9 +258,8 @@ class TestNearSingular:
     ])
     def test_exact_and_near_zero_pivots_flagged(self, a):
         for x in (a, a.astype(complex)):
-            with np.errstate(all="raise"), pytest.raises(SingularMatrixError) as err:
+            with np.errstate(all="raise"), pytest.raises(SingularMatrixError):
                 invert(x)  # no division by a zero pivot, no overflow, no NaN
-            assert err.value.rows is None
 
     def test_stack_shapes(self):
         rng = np.random.default_rng(7)
@@ -255,9 +269,6 @@ class TestNearSingular:
         want = [[False, True, False], [False, False, True]]
         assert self._flags(a).tolist() == want
         np.testing.assert_array_equal(self._flags(a.reshape(6, 4, 4)), np.ravel(want))
-        with pytest.raises(SingularMatrixError) as err:
-            invert(a[1, 2])
-        assert err.value.rows is None
         np.testing.assert_array_equal(invert(a[0, 0]), np.linalg.inv(a[0, 0]))
 
 

@@ -135,7 +135,3 @@ class TestQuantizedZfLaws:
         b = collect_zf_statistics(3, 5, 10_000, seed=17, path="fast_decomposition")
         assert stats.ks_2samp(a["interference"], b["interference"]).pvalue > 0.01
         assert stats.ks_2samp(a["signal"], b["signal"]).pvalue > 0.01
-
-    def test_resamples_are_rare(self):
-        out = collect_zf_statistics(4, 6, 20_000, seed=11, path="fast_decomposition")
-        assert out["resamples"] <= 20

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from fbmimo.errors import CapacityError, DomainError
+from fbmimo import quantizer
+from fbmimo.errors import CapacityError, DomainError, SingularMatrixError
 from fbmimo.numerics import LOG2E, RngStream, sample_complex_gaussian, sample_isotropic_unit
 from fbmimo.quantizer import (MAX_CODEBOOK_ENTRIES, Codebook, _digamma, _enumerable_bits,
                               error_ccdf, error_upper_bound, expected_error,
@@ -273,6 +274,13 @@ class TestSampleQuantizedPair:
         resid = h_dir - np.einsum("nm,nm->n", h_hat.conj(), h_dir)[:, None] * h_hat
         inner = np.abs(np.einsum("nm,nm->n", h_hat.conj(), resid))
         np.testing.assert_allclose(inner, 0.0, atol=1e-12)
+
+    def test_residual_along_the_codeword_raises(self, monkeypatch):
+        # g with no component off h_hat leaves no residual direction
+        monkeypatch.setattr(quantizer, "sample_complex_gaussian",
+                            lambda M, rng, size: np.zeros((size, M), dtype=complex))
+        with pytest.raises(SingularMatrixError, match="^a drawn vector is zero"):
+            sample_quantized_pair(3, 4, RngStream(9, 0).generator(), size=5)
 
     def test_error_marginal_matches_law(self):
         _, _, z = sample_quantized_pair(4, 6, RngStream(10, 0).generator(), size=50_000)

@@ -1,6 +1,7 @@
 """The scripts in scripts/ run end to end at tiny sizes."""
 
 import csv
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,21 @@ def test_run_all_figures(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["experiment", "curve"]
     assert {r[1] for r in rows[1:]} >= {"miso_fb_quantized"}
+
+
+def test_same_outputs(tmp_path):
+    # this checkout against itself, then against a copy whose default seed moved
+    root = SCRIPTS.parent
+    args = ("--only", "sweeps", "--trials", "2")
+    proc = _run("same_outputs.py", str(root), *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "every output is byte-identical\n"
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    simulate = tmp_path / "src" / "fbmimo" / "simulate.py"
+    simulate.write_text(simulate.read_text().replace("DEFAULT_SEED = 42", "DEFAULT_SEED = 43"))
+    proc = _run("same_outputs.py", str(tmp_path), *args)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    differ = [line.split(":")[0] for line in proc.stdout.splitlines()[:-1]]
+    # the quantizer table draws nothing, so only the four sweeps differ
+    assert sorted(differ) == ["sweep_miso_brute.csv", "sweep_miso_fast.csv", "sweep_rzf_brute.csv",
+                      "sweep_zf_brute.csv"]
