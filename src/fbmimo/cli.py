@@ -529,16 +529,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_snr_values(argv: list[str]) -> list[str]:
-    """argv with each `--snr GRID` whose GRID starts with '-' written as
-    `--snr=GRID`, and likewise after an abbreviation such as --sn: argparse
-    reads a token such as -5:5:5, which starts with '-' and is not a plain
-    number, as a flag rather than as a value.  The ambiguous --s (--seed,
-    --scaling) stays an error either way."""
+def _attach_option_values(argv: list[str]) -> list[str]:
+    """argv with each `--OPT VALUE` whose VALUE starts with a single '-'
+    and is not just '-' written as `--OPT=VALUE`, for every long option but
+    --help, which takes no value, and their abbreviations: argparse reads a
+    token such as -5:5:5, -inf or -1e9, which starts with '-' and is not a
+    plain number, as a flag rather than as a value.  The ambiguous --s
+    (--seed, --snr, --scaling) stays an error either way."""
     out = []
     for token in argv:
         flag = out[-1] if out else ""
-        if len(flag) > 2 and "--snr".startswith(flag) and token.startswith("-") and ":" in token:
+        if (len(flag) > 2 and flag.startswith("--") and "=" not in flag
+                and not "--help".startswith(flag)
+                and token.startswith("-") and not token.startswith("--") and token != "-"):
             out[-1] = f"{flag}={token}"
         else:
             out.append(token)
@@ -546,7 +549,7 @@ def _attach_snr_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _attach_snr_values(sys.argv[1:] if argv is None else argv)
+    argv = _attach_option_values(sys.argv[1:] if argv is None else argv)
     args = vars(_build_parser().parse_args(argv))
     try:
         spec = build_spec(_load_config(args.pop("config")), args)

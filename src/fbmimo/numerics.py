@@ -69,7 +69,8 @@ class RngStream:
 
     Equal keys produce bit-identical sample sequences no matter which
     thread or process consumes them, so simulation engines key ``stream``
-    by trial index and stay reproducible under any parallel schedule.
+    by trial index and stay reproducible under any parallel schedule, on
+    one machine bit for bit (the README's reproducibility contract).
 
     The stream is Philox keyed by the words ``[stream, seed]`` (each mod
     2**64, low word first), i.e. ``Philox(key=seed * 2**64 + stream)``,
@@ -163,7 +164,6 @@ def invert(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    # numpy's inverse gives the same bits as solving on scipy's LU factors
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # an exact zero pivot

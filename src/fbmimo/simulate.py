@@ -2,11 +2,13 @@
 
 Every engine sweeps an SNR grid and averages per-trial sum rates.  Trial t
 draws all of its randomness from RngStream(seed, t), so results are
-bit-identical for a given (config, seed), and channel draws are shared
-across SNR points and across engines that draw in the same order, which
-acts as common random numbers for gap and offset measurements.  At each
-point an engine draws every trial's inputs from its own stream, then forms
-channels, beams and rates for the whole stack of trials at once.
+bit-identical for a given (config, seed) on one machine, and within rtol
+1e-12 across machines (the README's reproducibility contract).  Channel
+draws are shared across SNR points and across engines that draw in the
+same order, which acts as common random numbers for gap and offset
+measurements.  At each point an engine draws every trial's inputs from its
+own stream, then forms channels, beams and rates for the whole stack of
+trials at once.
 
 Two quantized-CSIT paths are available: brute_force enumerates a fresh
 random codebook per user per trial (integer B with M * 2^B <= 2^24;
@@ -178,13 +180,6 @@ def _nearest_unitary(beams: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    """math.log2 elementwise.  The single-user and baseline rates have
-    always been math.log2 values, from which np.log2's SIMD kernel differs
-    in the last bit for about one input in 10^4."""
-    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _trials(n_trials: int, seed: int, draw, evaluate,
             workers: int = 1) -> tuple[np.ndarray, tuple]:
     """Per-trial rows and their controls' exact means over trials
@@ -319,13 +314,13 @@ def _miso_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.nda
     """The one user's rate on a beam along its quantized direction, with
     the control log2(1 + P ||h||^2), the rate on a beam along h itself,
     whose exact mean is bounds.miso_reference(P, M, B).c_csit."""
-    return _with_controls(_log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0])),
+    return _with_controls(np.log2(1.0 + P * mag2[:, 0] * (1.0 - z[:, 0])),
                           [(np.log2(1.0 + P * mag2[:, 0]), _ergodic_rate(P, cfg.M))])
 
 
 def _tdma_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> tuple:
     best = np.max(np.sum(np.abs(H) ** 2, axis=-1), axis=-1)
-    return _log2(1.0 + P * best), ()
+    return np.log2(1.0 + P * best), ()
 
 
 def _random_bf_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
@@ -341,10 +336,9 @@ def _random_bf_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray,
     sinr_table = _sinr_table(H, beams, P)
     best_beam = np.argmax(sinr_table, axis=-1)
     best_val = np.take_along_axis(sinr_table, best_beam[..., None], axis=-1)
-    # each beam's highest claim; an unclaimed beam adds log2(1 + 0) = 0,
-    # and the beams' rates are summed in order, as one float at a time
+    # each beam's highest claim; an unclaimed beam adds log2(1 + 0) = 0
     claims = np.where(best_beam[..., None] == np.arange(cfg.M), best_val, 0.0).max(axis=-2)
-    rates = np.add.accumulate(_log2(1.0 + claims), axis=-1)[..., -1]
+    rates = np.log2(1.0 + claims).sum(axis=-1)
     mean = random_bf_sum_rate(P, cfg.M, cfg.K) if cfg.M > 1 else None
     return _with_controls(rates, [] if mean is None else [
         (np.log2(1.0 + sinr_table.max(axis=-2)).sum(axis=-1), mean)])

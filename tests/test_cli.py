@@ -179,6 +179,14 @@ class TestCommandFlags:
         listed = set(re.findall(r"(--[A-Za-z][\w-]*)", capsys.readouterr().out)) - {"--help"}
         assert listed == flags
 
+    @pytest.mark.parametrize("help_flag", ["--help", "--he"])
+    def test_help_takes_no_value(self, help_flag, capsys):
+        # a token after --help that starts with '-' is not attached to it
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", help_flag, "-x"])
+        assert exc.value.code == 0
+        assert "usage: fbmimo figure" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [["table", "quantizer", "--M", "4", "--B", "3",
                                        "--trials", "5"],
                                       ["validate", "bounds", "--trials", "5", "--path", "brute"]])
@@ -282,8 +290,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags", [["--scaling", "approx3", "--b-gap", "nan"],
                                        ["--scaling", "approx3", "--b-gap", "inf"],
                                        ["--scaling", "exact", "--b-gap=-inf"],
+                                       ["--scaling", "exact", "--b-gap", "-inf"],
+                                       ["--scaling", "exact", "--b-g", "-inf"],
+                                       ["--scaling", "exact", "--b-gap", "-1e9"],
                                        ["--scaling", "alpha", "--alpha", "nan"],
-                                       ["--scaling", "alpha", "--alpha", "inf"]])
+                                       ["--scaling", "alpha", "--alpha", "inf"],
+                                       ["--scaling", "alpha", "--alpha", "-inf"]])
     def test_non_finite_policy_parameter_is_exit_2(self, flags, capsys):
         assert main(["sweep", "--M", "2", "--trials", "3", "--snr", "0:10:10",
                      "--out", "-", *flags]) == 2

@@ -14,10 +14,15 @@ differences between machines, while a change to the RNG contract or to an
 estimator moves a mean by about one std_err.  A change that regenerates a
 file says which one and why in CHANGES.md.
 
-The files were made with numpy 2.4.6 (GOLDEN_NUMPY).  numpy promises no
-stream of variates across versions, so what the files pin is output
-bit-identical per (config, seed) on that numpy; every failure message, and
---diff, names both versions.
+The files were made with numpy 2.4.6 (GOLDEN_NUMPY) at the numpy dispatch
+targets in GOLDEN_DISPATCH, with OPENBLAS_CORETYPE unset.  Output is
+bit-identical per (config, seed) on one machine: one numpy version, CPU
+dispatch and OpenBLAS core.  Across machines it holds within rtol 1e-12,
+and test_golden_holds_at_emulated_older_dispatch checks that by rerunning
+--diff with numpy's dispatch and OpenBLAS's core lowered in a child
+process.  numpy promises no stream of variates across versions, so on
+another numpy a failure may be numpy's; every failure message, and --diff,
+names both machines.
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
@@ -35,6 +40,8 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -43,11 +50,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 from fbmimo.cli import FIGURE_IDS, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_NUMPY = "2.4.6"
-VERSIONS = f"golden files made with numpy {GOLDEN_NUMPY}, running numpy {np.__version__}"
+# numpy's dispatch targets enabled where the files were made (an AVX-512
+# Xeon); OpenBLAS picked its SkylakeX core there
+GOLDEN_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _enabled_targets() -> list[str]:
+    """numpy's dispatch targets that this process enables; this reflects
+    NPY_DISABLE_CPU_FEATURES."""
+    return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+
+
+def _machine() -> str:
+    core = os.environ.get("OPENBLAS_CORETYPE")
+    return (f"numpy {np.__version__}, dispatch {' '.join(_enabled_targets()) or 'none'}"
+            + (f", OPENBLAS_CORETYPE {core}" if core else ""))
+
+
+VERSIONS = (f"golden files made with numpy {GOLDEN_NUMPY}, dispatch {GOLDEN_DISPATCH}; "
+            f"running {_machine()}")
 _QUANTIZED = ["--csit", "quantized", "--scaling", "fixed", "--path", "brute", "--snr", "0:10:20",
               "--trials", "40"]
 GOLDEN = {
@@ -145,6 +176,26 @@ def test_csv_matches_golden(name, tmp_path):
 def test_validate_matches_golden(capsys):
     assert main(["validate", "bounds", "--trials", "100", "--seed", "42"]) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "validate_bounds.txt").read_text(), VERSIONS
+
+
+def test_golden_holds_at_emulated_older_dispatch():
+    # another machine, emulated: every numpy dispatch target this CPU
+    # enables is turned off and OpenBLAS runs an older x86-64 core, both in
+    # the child's environment only.  A discrete decision (a codebook
+    # search's argmax, a random-BF claim, the singular flag) flipped on a
+    # last-bit change would move a mean far beyond rtol 1e-12 and exit 2.
+    targets = _enabled_targets()
+    if not targets:
+        pytest.skip("numpy enables no dispatch target on this CPU to turn off")
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, __file__, "--diff"], env=env, capture_output=True,
+                          text=True, timeout=300)
+    shown = proc.stdout + proc.stderr
+    assert proc.stdout.partition("\n")[0].endswith("dispatch none, OPENBLAS_CORETYPE Nehalem"), \
+        shown
+    assert proc.returncode in (0, 1), shown
 
 
 def test_differences_are_counted_per_column():

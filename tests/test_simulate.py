@@ -717,6 +717,11 @@ def _one_gap(gen, cfg, P, B):
     return ((perfect - rate) / cfg.M, *((perfect,) if cfg.precoder == ZF else ()), *controls)
 
 
+def _log2_one(x: float) -> float:
+    # np.log2 of a one-element array: the kernel the engines run on a stack
+    return float(np.log2(np.array([x]))[0])
+
+
 def _one_miso(gen, cfg, P, B):
     # the rate on the quantized direction, and the control log2(1 + P ||h||^2)
     if cfg.path == BRUTE_FORCE:
@@ -726,12 +731,12 @@ def _one_miso(gen, cfg, P, B):
     else:
         z = sample_quantized_pair(cfg.M, B, gen, size=1)[2][0]
         mag2 = float(gen.gamma(cfg.M, 1.0))
-    return math.log2(1.0 + P * mag2 * (1.0 - z)), float(np.log2(np.array([1.0 + P * mag2]))[0])
+    return _log2_one(1.0 + P * mag2 * (1.0 - z)), _log2_one(1.0 + P * mag2)
 
 
 def _one_tdma(gen, cfg, P, B):
     H = sample_complex_gaussian(cfg.M, gen, size=cfg.K)
-    return math.log2(1.0 + P * float(np.max(np.sum(np.abs(H) ** 2, axis=1))))
+    return _log2_one(1.0 + P * float(np.max(np.sum(np.abs(H) ** 2, axis=1))))
 
 
 def _one_random_bf(gen, cfg, P, B):
@@ -742,13 +747,14 @@ def _one_random_bf(gen, cfg, P, B):
         1.0 + per_stream * (gains.sum(axis=1, keepdims=True) - gains))
     best_beam = np.argmax(sinr_table, axis=1)
     best_val = sinr_table[np.arange(cfg.K), best_beam]
-    rate = 0.0
+    # each beam's rate on its highest claim, 0 for an unclaimed beam
+    rates = np.zeros(cfg.M)
     for m in range(cfg.M):
         claim = best_val[best_beam == m]
         if claim.size:
-            rate += math.log2(1.0 + float(claim.max()))
+            rates[m] = _log2_one(1.0 + float(claim.max()))
     # the control: every beam serves its best user, claimed or not
-    return rate, float(np.log2(1.0 + sinr_table.max(axis=0)).sum())
+    return float(rates.sum()), float(np.log2(1.0 + sinr_table.max(axis=0)).sum())
 
 
 def _quantized_arm_means(cfg, P, B):
