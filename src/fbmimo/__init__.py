@@ -22,9 +22,9 @@ from .errors import (CapacityError, ConfigError, DomainError, InsufficientDataEr
 from .numerics import (RngStream, haar_unitary, invert, sample_complex_gaussian,
                        sample_isotropic_unit)
 from .precoder import rzf_beamformers, zf_beamformers
-from .quantizer import (Codebook, QuantizationOutcome, error_ccdf, error_upper_bound,
-                        expected_error, expected_neg_log2_error, expected_optimal_error,
-                        generate_codebook, quantize, sample_error, sample_quantized_pair)
+from .quantizer import (Codebook, error_ccdf, error_upper_bound, expected_error,
+                        expected_neg_log2_error, expected_optimal_error, generate_codebook,
+                        quantize, sample_error, sample_quantized_pair)
 from .simulate import (SimConfig, collect_zf_statistics,
                        miso_feedback_throughput, mu_throughput, random_bf_throughput,
                        rate_gap, tdma_throughput)

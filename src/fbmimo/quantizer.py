@@ -6,10 +6,11 @@ of the codeword closest in angle to its channel direction; the figure of
 merit is the squared angular error ``Z = sin^2(angle(h, h_hat))``, which is
 the minimum of ``2**B`` independent Beta(M-1, 1) variables.
 
-The brute-force path draws and searches codebooks (``generate_codebook``,
-``quantize``).  The closed forms are the law of ``Z`` (its CCDF, E[Z] and
-its bound 2^(-B/(M-1)), E[-log2 Z]) and the mean error of an idealized
-quantizer.  The fast path samples ``Z`` by inverting the CCDF, which is
+The brute-force path draws and searches codebooks: ``generate_codebook``
+draws one, and ``quantize`` returns the pair ``(h_hat, z)`` of the chosen
+codeword and its error.  The closed forms are the law of ``Z`` (its CCDF,
+E[Z] and its bound 2^(-B/(M-1)), E[-log2 Z]) and the mean error of an
+idealized quantizer.  The fast path samples ``Z`` by inverting the CCDF, which is
 what makes large-B experiments affordable: the decomposition
 ``h_dir = sqrt(1-Z) h_hat + sqrt(Z) s`` (``s`` isotropic in the nullspace
 of ``h_hat``, independent of ``Z``) reproduces the joint law of the
@@ -43,12 +44,6 @@ class Codebook:
     words: np.ndarray
 
 
-@dataclass(frozen=True)
-class QuantizationOutcome:
-    h_hat: np.ndarray
-    error_z: float
-
-
 def _check_m(M: int) -> None:
     if not M >= 2:
         raise DomainError(f"M must be >= 2, got {M}")
@@ -71,6 +66,12 @@ def _enumerable_bits(M: int, B) -> int:
     return B
 
 
+def _codebook_bits(M: int, B: float) -> int:
+    """A policy's real-valued B rounded up to a whole codebook in C^M, with
+    1e-9 of slack for rounding noise; CapacityError past the cap."""
+    return _enumerable_bits(M, math.ceil(B - 1e-9))
+
+
 def generate_codebook(M: int, B: int, rng: np.random.Generator) -> Codebook:
     """Draw a fresh random codebook of ``2**B`` isotropic unit vectors."""
     _check_m(M)
@@ -79,8 +80,9 @@ def generate_codebook(M: int, B: int, rng: np.random.Generator) -> Codebook:
     return Codebook(words=words)
 
 
-def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
-    """Pick the codeword maximizing |h^H w|; ties resolve to the lowest index."""
+def quantize(h: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, float]:
+    """The pair (h_hat, z): the codeword maximizing |h^H w|, ties resolving
+    to the lowest index, and its error z = sin^2(angle(h, h_hat))."""
     h = np.asarray(h, dtype=complex)
     norm2 = float(np.real(np.vdot(h, h)))
     if norm2 == 0.0:
@@ -90,8 +92,7 @@ def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationOutcome:
     # more than the product itself
     cos2 = np.abs(np.einsum("km,m->k", codebook.words, h.conj())) ** 2 / norm2
     index = int(np.argmax(cos2))
-    error_z = min(max(1.0 - float(cos2[index]), 0.0), 1.0)
-    return QuantizationOutcome(h_hat=codebook.words[index], error_z=error_z)
+    return codebook.words[index], min(max(1.0 - float(cos2[index]), 0.0), 1.0)
 
 
 def error_ccdf(z, M: int, B: float):

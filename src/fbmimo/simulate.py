@@ -38,7 +38,7 @@ from .bounds import (ScalingPolicy, ThroughputCurve, _ergodic_rate, random_bf_su
 from .errors import CapacityError, ConfigError, SingularMatrixError
 from .numerics import RngStream, draw_rows, haar_unitary, sample_complex_gaussian
 from .precoder import RZF, ZF, rzf_beamformers, zf_beamformers
-from .quantizer import (_enumerable_bits, expected_error, generate_codebook, quantize,
+from .quantizer import (_codebook_bits, expected_error, generate_codebook, quantize,
                         sample_quantized_pair)
 
 BRUTE_FORCE = "brute_force"
@@ -103,11 +103,6 @@ def trial_streams(seed: int, start: int, stop: int) -> list:
     return [RngStream(seed, t).generator() for t in range(start, stop)]
 
 
-def _codebook_bits(B: float) -> float:
-    """B rounded up to a whole codebook, with 1e-9 of slack for rounding noise."""
-    return float(math.ceil(B - 1e-9))
-
-
 def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
     """Feedback bits at this point: the policy's real-valued count, rounded
     up to a whole codebook on the brute path, NaN under perfect CSIT."""
@@ -117,7 +112,7 @@ def _resolve_bits(cfg: SimConfig, snr_db: float) -> float:
     if cfg.path != BRUTE_FORCE:
         return B
     try:  # before any codebook is drawn
-        return float(_enumerable_bits(cfg.M, _codebook_bits(B)))
+        return float(_codebook_bits(cfg.M, B))
     except CapacityError as err:
         raise CapacityError(f"brute_force: {err}; policy asks for {B:.2f} bits at {snr_db} dB; "
                             "use the fast_decomposition path") from None
@@ -223,8 +218,7 @@ def _quantized_draw(gens: list, cfg: SimConfig, B: float) -> tuple:
         h_hat, z = np.empty((len(gens), K, M), complex), np.empty((len(gens), K))
         for t, gen in enumerate(gens):
             for i in range(K):
-                q = quantize(H[t, i], generate_codebook(M, B, gen))
-                h_hat[t, i], z[t, i] = q.h_hat, q.error_z
+                h_hat[t, i], z[t, i] = quantize(H[t, i], generate_codebook(M, B, gen))
         return H, h_hat, _vdot_rows(H, H).real, z
     h_dir, h_hat, z = sample_quantized_pair(M, B, gens, size=K)
     mag2 = draw_rows(gens, lambda gen: gen.gamma(M, 1.0, size=K))
@@ -533,7 +527,7 @@ def collect_zf_statistics(M: int, B: float, n_trials: int, seed: int,
     signal gain |h_dir_0^H v_0|^2, one cross gain |h_dir_1^H v_0|^2, and
     user 1's quantization error Z as drawn.
     """
-    B = _codebook_bits(B) if path == BRUTE_FORCE else float(B)
+    B = _codebook_bits(M, B) if path == BRUTE_FORCE else float(B)
     cfg = SimConfig(M=M, K=M, snr_grid_db=(0.0,), path=path)  # a draw reads M, K and path
 
     def statistics(H, h_hat, mag2, z):

@@ -27,9 +27,9 @@ PUBLIC = {
     "zf_dpc_power_offset_db", "zf_perfect_sum_rate",
     "RngStream", "haar_unitary", "invert", "sample_complex_gaussian", "sample_isotropic_unit",
     "rzf_beamformers", "zf_beamformers",
-    "Codebook", "QuantizationOutcome", "error_ccdf", "error_upper_bound", "expected_error",
-    "expected_neg_log2_error", "expected_optimal_error", "generate_codebook", "quantize",
-    "sample_error", "sample_quantized_pair",
+    "Codebook", "error_ccdf", "error_upper_bound", "expected_error", "expected_neg_log2_error",
+    "expected_optimal_error", "generate_codebook", "quantize", "sample_error",
+    "sample_quantized_pair",
     "SimConfig", "collect_zf_statistics", "miso_feedback_throughput", "mu_throughput",
     "random_bf_throughput", "rate_gap", "tdma_throughput",
 }

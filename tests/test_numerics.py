@@ -163,14 +163,19 @@ class TestInvert:
             a = sample_complex_gaussian(5, rng, size=5)
             np.testing.assert_allclose(a @ invert(a), np.eye(5), atol=1e-10)
 
-    def test_bitwise_equal_to_lu_solve(self):
-        # reference: solving A X = I on scipy's LU factors
+    def test_matches_lu_solve(self):
+        # reference: solving A X = I on scipy's LU factors.  Two partial-pivot
+        # LU inverses each lie within about M eps kappa_2(A) ||X||_2 of the
+        # true inverse; the bits depend on the BLAS kernels each library
+        # dispatches to, which differ across CPUs and OpenBLAS cores.
         rng = RngStream(9, 0).generator()
+        eps = np.finfo(float).eps
         for M in range(2, 9):
             for _ in range(50):
                 a = sample_complex_gaussian(M, rng, size=M)
                 ref = lu_solve(lu_factor(a), np.eye(M, dtype=complex))
-                np.testing.assert_array_equal(invert(a), ref)
+                bound = 2 * M * eps * np.linalg.cond(a) * np.linalg.norm(ref, 2)
+                assert np.abs(invert(a) - ref).max() <= bound
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)

@@ -130,6 +130,20 @@ class TestZfStatistics:
         assert set(out) == {"signal", "interference", "error_z"}
         np.testing.assert_array_equal(out["error_z"], z[:, 1])
 
+    def test_brute_bits_round_up_to_a_whole_codebook(self):
+        fractional = sim.collect_zf_statistics(3, 4.3, 40, seed=5, path=BRUTE_FORCE)
+        whole = sim.collect_zf_statistics(3, 5, 40, seed=5, path=BRUTE_FORCE)
+        for key in ("signal", "interference", "error_z"):
+            np.testing.assert_array_equal(fractional[key], whole[key])
+
+    def test_over_cap_brute_bits_raise_before_any_stream(self, monkeypatch):
+        def no_stream(self):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(numerics.RngStream, "generator", no_stream)
+        with pytest.raises(CapacityError):  # M * 2^23 = 2^25 entries
+            sim.collect_zf_statistics(4, 22.5, 10, seed=5, path=BRUTE_FORCE)
+
 
 class TestRealDrawsAreNotFlagged:
     """invert's singular rule, whose raise ends a run, does not fire on the
@@ -642,8 +656,7 @@ def _one_quantized(gen, M, K, B, path):
         h_hat = np.empty((K, M), dtype=complex)
         z = np.empty(K)
         for i in range(K):
-            q = quantize(H[i], generate_codebook(M, B, gen))
-            h_hat[i], z[i] = q.h_hat, q.error_z
+            h_hat[i], z[i] = quantize(H[i], generate_codebook(M, B, gen))
         return H, h_hat, np.array([np.vdot(H[i], H[i]).real for i in range(K)]), z
     h_dir, h_hat, z = sample_quantized_pair(M, B, gen, size=K)
     mag2 = gen.gamma(M, 1.0, size=K)
@@ -726,7 +739,7 @@ def _one_miso(gen, cfg, P, B):
     # the rate on the quantized direction, and the control log2(1 + P ||h||^2)
     if cfg.path == BRUTE_FORCE:
         h = sample_complex_gaussian(cfg.M, gen)
-        z = quantize(h, generate_codebook(cfg.M, B, gen)).error_z
+        _, z = quantize(h, generate_codebook(cfg.M, B, gen))
         mag2 = float(np.real(np.vdot(h, h)))
     else:
         z = sample_quantized_pair(cfg.M, B, gen, size=1)[2][0]
