@@ -309,8 +309,8 @@ def zf_perfect_sum_rate(P: float, M: int) -> float:
     Each user's ZF gain is Exp(1), so the mean is M E[log2(1 + (P/M) X)]
     = M log2(e) e^(M/P) E1(M/P), and 0 at P = 0.
     """
-    if not P >= 0.0:
-        raise DomainError(f"P must be >= 0, got {P}")
+    if not 0.0 <= P < math.inf:
+        raise DomainError(f"P must be finite and >= 0, got {P}")
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     return M * LOG2E * _exp_en(1, M / P) if P > 0.0 else 0.0
@@ -325,8 +325,8 @@ def unitary_sum_rate(P: float, M: int) -> float:
     Gamma(M, 1).  So the mean is M (E[log2(1 + (P/M) Gamma(M))] -
     E[log2(1 + (P/M) Gamma(M - 1))]), and 0 at P = 0.
     """
-    if not P >= 0.0:
-        raise DomainError(f"P must be >= 0, got {P}")
+    if not 0.0 <= P < math.inf:
+        raise DomainError(f"P must be finite and >= 0, got {P}")
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     return M * (_ergodic_rate(P / M, M) - _ergodic_rate(P / M, M - 1))
@@ -402,8 +402,8 @@ def miso_reference(P: float, M: int, B: float) -> MisoReference:
     the effective channel power by (1 - 2^(-B/(M-1))) to approximate B-bit
     quantized beamforming.
     """
-    if not P > 0.0:
-        raise DomainError(f"P must be > 0, got {P}")
+    if not 0.0 < P < math.inf:
+        raise DomainError(f"P must be finite and > 0, got {P}")
     _check_m(M)
     _check_bits(B)
     return MisoReference(

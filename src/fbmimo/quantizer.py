@@ -69,6 +69,8 @@ def _enumerable_bits(M: int, B) -> int:
 def _codebook_bits(M: int, B: float) -> int:
     """A policy's real-valued B rounded up to a whole codebook in C^M, with
     1e-9 of slack for rounding noise; CapacityError past the cap."""
+    if not math.isfinite(B):
+        raise DomainError(f"codebook bits must be finite, got {B}")
     return _enumerable_bits(M, math.ceil(B - 1e-9))
 
 
@@ -87,6 +89,8 @@ def quantize(h: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, float]:
     norm2 = float(np.real(np.vdot(h, h)))
     if norm2 == 0.0:
         raise DomainError("cannot quantize the zero vector")
+    if not math.isfinite(norm2):
+        raise DomainError(f"cannot quantize a vector whose squared norm is {norm2}")
     # einsum never reaches BLAS; with OPENBLAS_NUM_THREADS > 1, a (2^B, M)
     # matvec there wakes OpenBLAS's thread pool, whose hand-off costs far
     # more than the product itself

@@ -260,11 +260,29 @@ def _mu_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray) -> tuple:
         _zf_control(cfg, P, H), _gain_control(cfg, P, _vdot_rows(H, H).real)])
 
 
+def _zf_rate_and_interference(cfg: SimConfig, P: float, B: float, H: np.ndarray,
+                              zf: np.ndarray) -> tuple:
+    """Sum rates on the ZF beams zf of h_hat, and the control
+    I = sum_i sum_{j != i} |h_i^H v_j|^2 with its mean K M E[Z], both from
+    one table of gains.  Each user's interference sums its gains on the
+    other beams: the row sum less the own gain, as _sinr_table forms it,
+    loses the digits of an interference far below the own gain (large B),
+    and a fit that I leaves with a tiny residual would carry that rounding
+    into its std_err."""
+    gains = np.abs(H.conj() @ zf) ** 2
+    cross = np.where(np.eye(cfg.K, dtype=bool), 0.0, gains).sum(axis=-1)
+    per_stream = P / cfg.K
+    sinr = per_stream * np.diagonal(gains, axis1=-2, axis2=-1) / (1.0 + per_stream * cross)
+    return (np.log2(1.0 + sinr).sum(axis=-1),
+            (cross.sum(axis=-1), cfg.K * cfg.M * expected_error(cfg.M, B)))
+
+
 def _quantized_arm(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
                    mag2: np.ndarray, z: np.ndarray) -> tuple:
-    """Quantized-CSIT sum rates and, as (column, exact mean) pairs, the
+    """Quantized-CSIT sum rates; as (column, exact mean) pairs, the
     controls S, where B > 0 C1' on the ZF beams of h_hat, else the rate on
-    the polar factor of the rate's beams, and D.  See mu_throughput."""
+    the polar factor of the rate's beams, and D; and under ZF the control I
+    from the rate's own gains, else None.  See mu_throughput."""
     G = h_hat.conj()
     zf = zf_beamformers(G) if cfg.precoder == ZF or B > 0 else None
     beams = zf if cfg.precoder == ZF else rzf_beamformers(G, P)
@@ -275,17 +293,21 @@ def _quantized_arm(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.
                   zf_perfect_sum_rate(P, cfg.M))
     else:
         second = _sum_rate(H, _nearest_unitary(beams), P), unitary_sum_rate(P, cfg.M)
-    return _sum_rate(H, beams, P), [(z.sum(axis=-1), cfg.K * expected_error(cfg.M, B)),
-                                    second, _gain_control(cfg, P, mag2)]
+    if cfg.precoder == ZF:
+        rate, interference = _zf_rate_and_interference(cfg, P, B, H, zf)
+    else:
+        rate, interference = _sum_rate(H, beams, P), None
+    return rate, [(z.sum(axis=-1), cfg.K * expected_error(cfg.M, B)),
+                  second, _gain_control(cfg, P, mag2)], interference
 
 
 def _quantized_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndarray,
                      mag2: np.ndarray, z: np.ndarray) -> tuple:
     """Quantized-CSIT sum rates with the controls S, C1' or the polar
-    rate, D and, under ZF, R_zf.  See mu_throughput."""
-    rate, controls = _quantized_arm(cfg, P, B, H, h_hat, mag2, z)
+    rate, D and, under ZF, R_zf and I.  See mu_throughput."""
+    rate, controls, interference = _quantized_arm(cfg, P, B, H, h_hat, mag2, z)
     if cfg.precoder == ZF:
-        controls.append(_zf_control(cfg, P, H))
+        controls += [_zf_control(cfg, P, H), interference]
     return _with_controls(rate, controls)
 
 
@@ -293,10 +315,10 @@ def _gap_rates(cfg: SimConfig, P: float, B: float, H: np.ndarray, h_hat: np.ndar
                mag2: np.ndarray, z: np.ndarray) -> tuple:
     """Per-user perfect-CSIT minus quantized sum rate on one shared channel
     draw, with the controls R_perf under ZF, where the perfect arm is R_zf,
-    then the quantized arm's S, C1' or polar rate, and D."""
-    rate, controls = _quantized_arm(cfg, P, B, H, h_hat, mag2, z)
+    then the quantized arm's S, C1' or polar rate, and D, and under ZF I."""
+    rate, controls, interference = _quantized_arm(cfg, P, B, H, h_hat, mag2, z)
     if cfg.precoder == ZF:
-        controls.insert(0, _zf_control(cfg, P, H))
+        controls = [_zf_control(cfg, P, H), *controls, interference]
         perfect = controls[0][0]
     else:
         perfect = _sum_rate(H, _beams(cfg, P, H), P)
@@ -367,7 +389,8 @@ def _regression_estimate(rates: np.ndarray, controls: np.ndarray,
     # unit-norm columns keep the fit well scaled when one control is far
     # smaller than another (S is ~1e-17 at large B)
     design = dc[varies] / scale[varies, None]
-    beta, _, k, _ = np.linalg.lstsq(design.T, dy, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(design.T, dy, rcond=None)
+    k = int(rank)  # an int32, in which (n - 1 - k) * n overflows from n ~ 46,341
     residual = dy - beta @ design
     shift = (bars - np.array(control_means, dtype=float))[varies] / scale[varies]
     return (rate_bar - float(beta @ shift),
@@ -428,7 +451,7 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
 
     Quantized-CSIT points are control-variate (regression) estimates on
     controls computed on each trial's own draw, all with exact means:
-    S, C1' or the polar rate, D and, under ZF, R_zf.  S = sum_i Z_i, the
+    S, C1' or the polar rate, D and, under ZF, R_zf and I.  S = sum_i Z_i, the
     users' quantization errors as drawn, has mean
     K * quantizer.expected_error(M, B) at the point's resolved bits B (on
     the brute path, B rounded up), since both paths draw each Z_i from the
@@ -453,6 +476,22 @@ def mu_throughput(cfg: SimConfig, label: str | None = None) -> ThroughputCurve:
     bounds.zf_perfect_sum_rate(P, M).  RZF points go without R_zf, which
     would cost a ZF build of H for little (1.0-1.25x).
 
+    I = sum_i sum_{j != i} |h_i^H v_j|^2, under ZF, is the interference
+    each user meets on the other users' ZF beams, read from the gains the
+    rate is computed from.  With h_i = ||h_i|| (sqrt(1 - Z_i) h_hat_i +
+    sqrt(Z_i) e_i), e_i the unit error direction in the nullspace of
+    h_hat_i, and v_j orthogonal to h_hat_i with ||v_j|| = 1 for j != i,
+    each term is ||h_i||^2 Z_i |e_i^H v_j|^2.  e_i is isotropic in that
+    (M - 1)-dimensional nullspace (on the brute path because the codebook
+    is unitarily invariant about h_hat_i) and independent of
+    ||h_i||^2 ~ Gamma(M, 1), of Z_i and of the other users' beams, so each
+    term has mean M E[Z] / (M - 1) and I has mean K M E[Z].  Its mean is
+    the interference to which bounds.rate_gap_bound applies Jensen's
+    inequality.  RZF points go without it: their beams are not orthogonal
+    to h_hat_i, so the sum on them has no known mean, and the sum on the
+    ZF beams of h_hat, which RZF builds for C1', cut the variance only
+    1.00-1.01x (M = 8, B = 20, 10 and 20 dB).
+
     Perfect-CSIT ZF points are plain means; perfect-CSIT RZF points use
     R_zf and D.
     """
@@ -470,9 +509,9 @@ def rate_gap(cfg: SimConfig, label: str = "rate_gap") -> ThroughputCurve:
     (common random numbers), so the gap estimate is far less noisy than
     differencing two independent sweeps.  Points are control-variate
     (regression) estimates on the quantized arm's S, C1' or polar rate and
-    D (see mu_throughput) and, under ZF, on the perfect arm R_perf itself,
-    with mean bounds.zf_perfect_sum_rate(P, M); the RZF perfect arm has no
-    exact mean and is no control.
+    D and, under ZF, its interference I (see mu_throughput) and the perfect
+    arm R_perf itself, with mean bounds.zf_perfect_sum_rate(P, M); the RZF
+    perfect arm has no exact mean and is no control.
     """
     _require_square(cfg)
     if cfg.policy is None:

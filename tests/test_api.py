@@ -6,11 +6,11 @@ import types
 import pytest
 
 import fbmimo
-from fbmimo import (ScalingPolicy, ceiling_fixed_B, error_ccdf, error_upper_bound,
-                    expected_error, expected_neg_log2_error, expected_optimal_error,
-                    feedback_bits, generate_codebook, miso_reference, mux_gain_prediction,
-                    rate_gap_bound, rvq_bit_penalty, sample_error, zf_dpc_power_offset_db,
-                    zf_perfect_sum_rate)
+from fbmimo import (ScalingPolicy, ceiling_fixed_B, collect_zf_statistics, error_ccdf,
+                    error_upper_bound, expected_error, expected_neg_log2_error,
+                    expected_optimal_error, feedback_bits, generate_codebook, miso_reference,
+                    mux_gain_prediction, rate_gap_bound, rvq_bit_penalty, sample_error,
+                    unitary_sum_rate, zf_dpc_power_offset_db, zf_perfect_sum_rate)
 from fbmimo.errors import DomainError
 from fbmimo.numerics import RngStream
 
@@ -66,6 +66,11 @@ NON_FINITE_CALLS = {
     "ScalingPolicy.fixed(nan)": lambda: ScalingPolicy.fixed(NAN),
     "generate_codebook(inf B)": lambda: generate_codebook(3, INF, RngStream(0, 0).generator()),
     "generate_codebook(nan B)": lambda: generate_codebook(3, NAN, RngStream(0, 0).generator()),
+    "collect_zf_statistics(inf B)": lambda: collect_zf_statistics(3, INF, 5, seed=1),
+    "collect_zf_statistics(nan B)": lambda: collect_zf_statistics(3, NAN, 5, seed=1),
+    "zf_perfect_sum_rate(inf P)": lambda: zf_perfect_sum_rate(INF, 3),
+    "unitary_sum_rate(inf P)": lambda: unitary_sum_rate(INF, 3),
+    "miso_reference(inf P)": lambda: miso_reference(INF, 3, 2),
 }
 
 
@@ -73,3 +78,10 @@ NON_FINITE_CALLS = {
 def test_non_finite_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("name", [name for name in NON_FINITE_CALLS if name.endswith("(inf P)")])
+def test_infinite_power_is_named(name):
+    # the message names P, not an internal of the closed form such as M/P
+    with pytest.raises(DomainError, match=r"^P must be finite"):
+        NON_FINITE_CALLS[name]()

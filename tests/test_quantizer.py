@@ -87,6 +87,13 @@ class TestQuantize:
         with pytest.raises(DomainError):
             quantize(np.zeros(2, dtype=complex), cb)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vector_raises(self, bad):
+        # a NaN or infinite entry would give z = nan, not an error
+        cb = generate_codebook(3, 2, RngStream(0, 0).generator())
+        with pytest.raises(DomainError):
+            quantize(np.array([bad, 1.0, 0.0]), cb)
+
 
 class TestErrorCcdf:
     def test_direct_evaluation(self):

@@ -11,7 +11,7 @@ from fbmimo import simulate as sim
 from fbmimo.bounds import (ScalingPolicy, miso_reference, random_bf_sum_rate,
                            unitary_sum_rate, zf_perfect_sum_rate)
 from fbmimo.errors import CapacityError, ConfigError, DomainError, SingularMatrixError
-from fbmimo.numerics import RngStream, haar_unitary, sample_complex_gaussian
+from fbmimo.numerics import LOG2E, RngStream, haar_unitary, sample_complex_gaussian
 from fbmimo.precoder import RZF, ZF, rzf_beamformers, zf_beamformers
 from fbmimo.quantizer import (expected_error, generate_codebook, quantize,
                               sample_quantized_pair)
@@ -421,6 +421,19 @@ class TestControlVariate:
         np.testing.assert_allclose(sim._regression_estimate(rates, with_constant, (1.0, 2.0)),
                                    one, rtol=1e-12)
 
+    def test_std_err_past_46341_trials(self):
+        # (n - 1 - k) * n must not be formed in lstsq's int32 rank, which
+        # overflows once n^2 passes 2^31
+        gen = RngStream(23, 4).generator()
+        n = 50_000
+        controls = gen.standard_normal((1, n))
+        rates = controls[0] + gen.standard_normal(n)
+        residual = rates - rates.mean() - np.polyfit(controls[0], rates, 1)[0] * (
+            controls[0] - controls[0].mean())
+        want = math.sqrt(float(residual @ residual) / ((n - 2) * n))
+        np.testing.assert_allclose(sim._regression_estimate(rates, controls, (0.0,))[1], want,
+                                   rtol=1e-9)
+
     def test_duplicated_controls_fit_on_their_rank(self):
         # a control given twice makes the normal equations singular: the fit
         # is then the one without the copy, on its degrees of freedom
@@ -560,6 +573,20 @@ class TestControlVariate:
         # users), so S must sum the Z that was drawn.
         self._check_error_sum_mean(2, FAST_DECOMPOSITION, 60.0, 2000)
 
+    @pytest.mark.parametrize("M, path, B, trials", [(4, FAST_DECOMPOSITION, 7.5, 4000),
+                                                    (3, FAST_DECOMPOSITION, 0.0, 4000),
+                                                    (4, BRUTE_FORCE, 6.0, 2000),
+                                                    (2, BRUTE_FORCE, 0.0, 2000)])
+    def test_interference_has_the_closed_form_mean(self, M, path, B, trials):
+        # Bound and seed fixed before the first run: the mean of the
+        # engine's per-trial I, its last ZF column, is within 4 of its
+        # std_errs of K M E[Z] (two-sided normal tail 6.3e-5 per case, so
+        # by Bonferroni at most 2.5e-4 that any of the four fails).
+        cfg = _cfg(M=M, K=M, path=path, trials=trials, seed=37)
+        control = self._quantized_columns(cfg, B, 10.0)[0][:, -1]
+        err = control.std(ddof=1) / math.sqrt(trials)
+        assert abs(control.mean() - cfg.K * cfg.M * expected_error(cfg.M, B)) <= 4.0 * err
+
     def test_random_bf_variance_cut(self):
         # compare88's random_bf point at 10 dB (M = K = 8); bound fixed
         # before the first run: more than 2x
@@ -596,15 +623,15 @@ class TestControlVariate:
         ("mu", dict(snr_grid_db=(10.0,), policy=None, precoder=RZF)),
         ("miso", dict(K=1, snr_grid_db=(10.0,), policy=ScalingPolicy.fixed(4))),
         # mux4x4's alpha = 3.9 curve at 40 dB, B = 51.8: the rate and its
-        # four controls are nearly collinear there
+        # five controls are nearly collinear there
         ("mu", dict(snr_grid_db=(40.0,), policy=ScalingPolicy.alpha_scaled(3.9)))],
         ids=["zf", "rzf", "rzf_b10", "zf_b0", "random_bf", "zf_gap", "rzf_gap", "rzf_perfect",
              "miso", "zf_alpha3.9_40db"])
     def test_std_err_coverage(self, engine, overrides):
-        # [S, C1', D, R_zf] on ZF and [S, C1', D] on RZF at B = 10, the
+        # [S, C1', D, R_zf, I] on ZF and [S, C1', D] on RZF at B = 10, the
         # same with the polar rate at B = 0, random beamforming's one
-        # control, the gaps' [R_perf, S, C1', D] (R_perf under ZF only),
-        # rzf_perfect's [R_zf, D] and miso's log2(1 + P ||h||^2).  Bounds
+        # control, the gaps' [R_perf, S, C1', D, I] (R_perf and I under ZF
+        # only), rzf_perfect's [R_zf, D] and miso's log2(1 + P ||h||^2).  Bounds
         # fixed before the first run: the estimate's distance to a long
         # plain-MC reference, over the hypot of both std_errs, is about
         # t(299 - k); 60 seeds cover within 3 sigma with p = 0.9971 and
@@ -620,15 +647,20 @@ class TestControlVariate:
             "mu": (mu_throughput, *((sim._perfect_draw, sim._mu_rates) if cfg.policy is None
                                     else (sim._quantized_draw, sim._quantized_rates))),
         }[engine]
-        # At the large-B point the controls cut the variance ~4,500x, so a
+        # At the large-B point the controls cut the variance ~700,000x, so a
         # plain reference would be less precise than the estimates it
-        # checks.  There the reference is the plain mean of rate - C1' (a
-        # fixed coefficient, ~2,300x) plus C1''s exact mean.
+        # checks.  There the reference is the plain mean of
+        # rate - C1' + log2(e) (P/M) (I - E[I]), fixed coefficients from the
+        # rate's first-order expansion in the interference (~47,000x), plus
+        # C1''s exact mean.
         differenced = B > 30.0
 
         def rates(*arrays):
             rows = evaluate(cfg, P, B, *arrays)[0]
-            return rows[:, 0] - rows[:, 2] if differenced else rows[:, 0], ()
+            if not differenced:
+                return rows[:, 0], ()
+            interference = rows[:, -1] - cfg.K * cfg.M * expected_error(cfg.M, B)
+            return rows[:, 0] - rows[:, 2] + LOG2E * (P / cfg.M) * interference, ()
 
         ref_trials = 60_000
         reference, _ = sim._trials(ref_trials, 10_000, lambda gens: draw(gens, cfg, B),
@@ -698,11 +730,21 @@ def _one_mu(gen, cfg, P, B):
     return _one_sum_rate(H, _one_beams(h_hat.conj(), cfg.precoder, P), P)
 
 
+def _one_zf_rate_and_interference(H, beams, P):
+    # the ZF rate, each user's interference summed over the other beams, and
+    # I = sum_i sum_{j != i} |h_i^H v_j|^2
+    gains = np.abs(H.conj() @ beams) ** 2
+    cross = np.where(np.eye(len(H), dtype=bool), 0.0, gains).sum(axis=1)
+    per_stream = P / beams.shape[1]
+    signal = per_stream * np.diagonal(gains)
+    return float(np.log2(1.0 + signal / (1.0 + per_stream * cross)).sum()), float(cross.sum())
+
+
 def _one_quantized_arm(gen, cfg, P, B):
     # H, then quantized CSIT's rate, the users' summed errors S, where B > 0
     # the control sum_i log2(1 + (P/M) ||h_i||^2 |h_hat_i^H v_i|^2) on the
     # ZF beams v_i of h_hat, at B = 0 the rate on the polar factor U V^H of
-    # the rate's beams, and D
+    # the rate's beams, D, and under ZF the interference I on the rate's beams
     H, h_hat, mag2, z = _one_quantized(gen, cfg.M, cfg.K, B, cfg.path)
     beams = _one_beams(h_hat.conj(), cfg.precoder, P)
     if B > 0:
@@ -713,21 +755,25 @@ def _one_quantized_arm(gen, cfg, P, B):
     else:
         u, _, vh = np.linalg.svd(beams)
         second = _one_sum_rate(H, u @ vh, P)
-    return H, _one_sum_rate(H, beams, P), float(z.sum()), second, _one_gain_rate(mag2, cfg, P)
+    rate, *interference = (_one_zf_rate_and_interference(H, beams, P) if cfg.precoder == ZF
+                           else (_one_sum_rate(H, beams, P),))
+    return H, rate, float(z.sum()), second, _one_gain_rate(mag2, cfg, P), interference
 
 
 def _one_quantized_and_controls(gen, cfg, P, B):
-    # the quantized arm's rate and controls, and under ZF R_zf
-    H, *rates = _one_quantized_arm(gen, cfg, P, B)
-    return (*rates, _one_zf_rate(H, P)) if cfg.precoder == ZF else tuple(rates)
+    # the quantized arm's rate and controls, and under ZF R_zf and I
+    H, *rates, interference = _one_quantized_arm(gen, cfg, P, B)
+    return (*rates, _one_zf_rate(H, P), *interference) if cfg.precoder == ZF else tuple(rates)
 
 
 def _one_gap(gen, cfg, P, B):
-    # the per-user gap, under ZF the perfect arm, and the quantized arm's
-    # controls; the RZF perfect arm has no exact mean and is no control
-    H, rate, *controls = _one_quantized_arm(gen, cfg, P, B)
+    # the per-user gap, under ZF the perfect arm, the quantized arm's
+    # controls and, under ZF, I; the RZF perfect arm has no exact mean and
+    # is no control
+    H, rate, *controls, interference = _one_quantized_arm(gen, cfg, P, B)
     perfect = _one_sum_rate(H, _one_beams(H.conj(), cfg.precoder, P), P)
-    return ((perfect - rate) / cfg.M, *((perfect,) if cfg.precoder == ZF else ()), *controls)
+    return ((perfect - rate) / cfg.M, *((perfect,) if cfg.precoder == ZF else ()), *controls,
+            *interference)
 
 
 def _log2_one(x: float) -> float:
@@ -777,15 +823,22 @@ def _quantized_arm_means(cfg, P, B):
             cfg.K * miso_reference(P, cfg.M, 0.0).c_nocsit)
 
 
+def _interference_mean(cfg, B):
+    # I: each of K users sees M - 1 other beams, each with mean ||h||^2 Z / (M - 1)
+    return cfg.K * cfg.M * expected_error(cfg.M, B)
+
+
 # the exact means of each oracle's control variates
 _CONTROL_MEANS = {
     _one_mu: lambda cfg, P, B: (zf_perfect_sum_rate(P, cfg.M),
                                 cfg.K * miso_reference(P, cfg.M, 0.0).c_nocsit),
     _one_quantized_and_controls: lambda cfg, P, B: (
         *_quantized_arm_means(cfg, P, B),
-        *((zf_perfect_sum_rate(P, cfg.M),) if cfg.precoder == ZF else ())),
+        *((zf_perfect_sum_rate(P, cfg.M), _interference_mean(cfg, B)) if cfg.precoder == ZF
+          else ())),
     _one_gap: lambda cfg, P, B: (*((zf_perfect_sum_rate(P, cfg.M),) if cfg.precoder == ZF
-                                   else ()), *_quantized_arm_means(cfg, P, B)),
+                                   else ()), *_quantized_arm_means(cfg, P, B),
+                                 *((_interference_mean(cfg, B),) if cfg.precoder == ZF else ())),
     _one_miso: lambda cfg, P, B: (miso_reference(P, cfg.M, B).c_csit,),
     _one_random_bf: lambda cfg, P, B: (random_bf_sum_rate(P, cfg.M, cfg.K),),
 }
